@@ -360,15 +360,28 @@ def transience_partial_sum(alpha: float, x: float, n_max: int | None = None,
     return float(math.fsum(terms)), float(bound(n_max))
 
 
+def _log1p_minus_x(x):
+    """log1p(x) - x, with the power series for |x| < 0.1 to avoid cancellation."""
+    small = np.abs(x) < 0.1
+    xs = np.where(small, x, 0.0)
+    acc = np.zeros_like(xs)
+    for k in range(20, 1, -1):
+        acc = (-1.0) ** (k + 1) / k + xs * acc
+    return np.where(small, xs * xs * acc, np.log1p(x) - x)
+
+
 def envelope_prob(n, r: float, alpha: float = 1.0):
     """P(|X_n|^alpha > n^(r+1)/ln n) for the symmetrized unit-atom walk.
 
     Free of alpha (the event is stated on the alpha-th power, and the
     power law of |X_n|^alpha does not involve alpha); the argument is
-    validated and otherwise ignored.  With q = n^(-r-1) ln n the
-    probability is 1 - (1 + (n-1) q)(1 - q)_+^(n-1), evaluated through
-    log1p/expm1 so large n stays accurate.  Tiny n where q >= 1 clamps
-    to 1; n = 1 gives 0.  Requires r > 1/2 (the summability range).
+    validated and otherwise ignored.  With q = n^(-r-1) ln n and
+    m = n - 1 the probability is 1 - (1 + m q)(1 - q)_+^m = -expm1(L),
+    L = m g(-q) + g(m q) with g(x) = log1p(x) - x.  Both terms of L are
+    negative, so nothing cancels, and g is summed as a series for
+    |x| < 0.1; the result keeps a relative error of a few ulp up to
+    n = 1e16.  Tiny n where q >= 1 clamps to 1; n = 1 gives 0.  Requires
+    r > 1/2 (the summability range).
     """
     _check_alpha(alpha)
     if not (r > 0.5):
@@ -381,39 +394,11 @@ def envelope_prob(n, r: float, alpha: float = 1.0):
     q = np.log(arr) * arr ** (-r - 1.0)
     small = q < 1.0
     q_safe = np.where(small, np.minimum(q, 1.0 - 1e-16), 0.0)
-    val = -np.expm1((arr - 1.0) * np.log1p(-q_safe) + np.log1p((arr - 1.0) * q_safe))
+    m = arr - 1.0
+    val = -np.expm1(m * _log1p_minus_x(-q_safe) + _log1p_minus_x(m * q_safe))
     out = np.where(small, val, 1.0)
     out = np.where(arr == 1.0, 0.0, out)
     return _ret(out[0] if scalar else out, scalar)
-
-
-def _unvalidated_increment_display(w: float) -> float:
-    """Reference expression for the two-step increment CDF from a source
-    derivation that fails normalization (it tends to 8/3, not 1, as w
-    grows, under either reading of the squared logarithm).  Kept for the
-    record; nothing calls it.
-    """
-    return 2.0 / 3.0 - 2.0 * (
-        1.0 / w**2
-        - w / (1.0 + w)
-        + 3.0 / (w**2 * (1.0 + w) ** 2)
-        - math.log(1.0 + w) ** 2 / w**3
-    )
-
-
-def _unvalidated_joint_display(w: float, z: float) -> float:
-    """Reference expression for P(increment <= w, state <= z) at k = 2 from
-    the same derivation; exceeds 1 already at w = 1 and stays disabled.
-    """
-    lead = 1.0 - 1.0 / (3.0 * z**2) * (1.0 + 2.0 / z)
-    log_term = math.log((w + z) / (z * (1.0 + w))) ** 2
-    frac = (
-        w
-        * (z - 1.0)
-        * (z - (w + z) * (1.0 + w))
-        / (z * (w + z) * (1.0 + w))
-    )
-    return lead - 2.0 / w**3 * (log_term + frac)
 
 
 CLOSED_FORMS = {

@@ -211,69 +211,61 @@ def kernel(kind: Convolution, a: float, b: float):
     return kind.kernel(a, b)
 
 
-def _pareto_ppf(u, order):
-    return (1.0 - u) ** (-1.0 / order)
+def _kendall_transition(alpha, x, dx, u_q, u_t):
+    """One Kendall kernel draw at (x, dx) >= 0 from switch and tail uniforms.
 
-
-def _sym_pareto_ppf(u, order):
-    lower = -np.maximum(2.0 * u, 1e-300) ** (-1.0 / order)
-    upper = np.maximum(2.0 * (1.0 - u), 1e-300) ** (-1.0 / order)
-    return np.where(u < 0.5, lower, upper)
-
-
-def kendall_kernel_sample(alpha, x, y, gen):
-    """Vectorized draw from the Kendall kernel at each (x_i, y_i) >= 0.
-
-    Consumes two uniform blocks (switch, tail) regardless of the switch
-    outcome, so the draw count per element is fixed.
+    Returns (draw, realized multiplier, switch): the multiplier is the
+    Pareto(2 alpha) tail factor when the switch fired, else 1.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = np.maximum(x, y)
-    safe_v = np.where(v > 0, v, 1.0)
-    z = np.minimum(x, y) / safe_v
-    u_q = gen.random(x.shape)
-    u_t = gen.random(x.shape)
+    v = np.maximum(x, dx)
+    safe = np.where(v > 0, v, 1.0)
+    z = np.minimum(x, dx) / safe
     q = u_q < z**alpha
-    theta = _pareto_ppf(u_t, 2.0 * alpha)
-    out = v * np.where(q, theta, 1.0)
-    return np.where(v > 0, out, 0.0)
+    theta = Pareto(2.0 * alpha).ppf(u_t)
+    mult = np.where(q, theta, 1.0)
+    nxt = np.where(v > 0, v * mult, 0.0)
+    return nxt, mult, q
 
 
-def weak_kendall_kernel_sample(alpha, x, y, gen):
-    """Vectorized draw from the weak Kendall kernel at each (x_i, y_i).
+def _weak_transition(alpha, x, dx, u_q, u_t, u_r):
+    """One weak Kendall kernel draw at (x, dx) from switch, tail and sign uniforms.
 
-    Consumes three uniform blocks (switch, tail, atom sign); the sign
-    carrier u is the sign of the larger-modulus argument, ties taking
-    sign(x).
+    The sign carrier is the sign of the larger-modulus argument, ties
+    taking sign(x); the multiplier is the symmetric tail factor when the
+    switch fired, else the +-1 atom sign.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ax, ay = np.abs(x), np.abs(y)
-    v = np.maximum(ax, ay)
-    safe_v = np.where(v > 0, v, 1.0)
-    z = np.minimum(ax, ay) / safe_v
-    u = np.where(ax >= ay, np.sign(x), np.sign(y))
-    u_q = gen.random(x.shape)
-    u_t = gen.random(x.shape)
-    u_r = gen.random(x.shape)
+    ax, adx = np.abs(x), np.abs(dx)
+    v = np.maximum(ax, adx)
+    safe = np.where(v > 0, v, 1.0)
+    z = np.minimum(ax, adx) / safe
+    sgn = np.where(ax >= adx, np.sign(x), np.sign(dx))
     q = u_q < z**alpha
-    theta = _sym_pareto_ppf(u_t, 2.0 * alpha)
+    theta = SymPareto(2.0 * alpha).ppf(u_t)
     r = np.where(u_r < 0.5, -1.0, 1.0)
-    out = v * u * np.where(q, theta, r)
-    return np.where(v > 0, out, 0.0)
+    mult = np.where(q, theta, r)
+    nxt = np.where(v > 0, v * sgn * mult, 0.0)
+    return nxt, mult, q
 
 
 def kernel_sample(kind: Convolution, x, y, gen):
-    """Vectorized kernel draw at paired arguments (x_i, y_i)."""
+    """Vectorized kernel draw at paired arguments (x_i, y_i).
+
+    The Kendall kinds draw switch, tail (and, weak kind, sign) uniform
+    blocks regardless of the switch outcome and hand them to the same
+    transition functions the walk engine uses.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if np.any(np.isnan(x)) or np.any(np.isnan(y)):
+        raise SupportError(f"{kind.name} convolution got a NaN argument")
     if not kind.real_line and (np.any(x < 0) or np.any(y < 0)):
         raise SupportError(f"{kind.name} convolution acts on the half-line")
     if isinstance(kind, Kendall):
-        return kendall_kernel_sample(kind.alpha, x, y, gen)
+        u_q, u_t = gen.random(x.shape), gen.random(x.shape)
+        return _kendall_transition(kind.alpha, x, y, u_q, u_t)[0]
     if isinstance(kind, WeakKendall):
-        return weak_kendall_kernel_sample(kind.alpha, x, y, gen)
+        u_q, u_t, u_r = gen.random(x.shape), gen.random(x.shape), gen.random(x.shape)
+        return _weak_transition(kind.alpha, x, y, u_q, u_t, u_r)[0]
     if isinstance(kind, MaxConv):
         return np.maximum(x, y)
     if isinstance(kind, AlphaConv):

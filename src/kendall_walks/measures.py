@@ -40,6 +40,7 @@ __all__ = [
     "sample_mu_alpha",
     "mu1_cdf",
     "mu1_pdf",
+    "mu1_ppf",
 ]
 
 
@@ -61,10 +62,6 @@ class RngStream:
         self.generator = np.random.Generator(
             np.random.Philox(key=philox_key(seed, stream_id))
         )
-
-    def substream(self, stream_id: int) -> "RngStream":
-        """A fresh stream with the same seed and a different id."""
-        return RngStream(self.seed, stream_id)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -426,6 +423,47 @@ def mu1_cdf(x):
     return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
+def mu1_ppf(u):
+    """Quantile of ``mu_1``: solves ``mu1_cdf(x) = min(u, 1 - u)`` on x <= 0.
+
+    The root is reflected for u > 1/2, so ``Q(1 - u) = -Q(u)`` holds
+    exactly wherever ``1 - u`` is exact.  Newton steps use ``mu1_pdf``
+    from the Cauchy quantile ``tan(pi (p - 1/2))``, which has the same
+    ``1/(pi |x|)`` tail; a step that leaves the bracket of the root, or
+    meets a zero of the density at ``x = 2 pi k``, is replaced by
+    bisection (doubling while the bracket is still unbounded below).
+    An entry stops once ``|mu1_cdf(x) - p| <= 2^-53`` or its step falls
+    below about two ulp of x.  ``p`` is floored at 2^-54, half the spacing of 53-bit uniforms, so
+    u = 0 gives a finite value.
+    """
+    arr, scalar = _as_array(u)
+    if np.any(~((arr >= 0.0) & (arr <= 1.0))):
+        raise ParameterError("mu1_ppf needs u in [0, 1]")
+    p = np.maximum(np.minimum(arr, 1.0 - arr), 2.0**-54).ravel()
+    x = np.tan(np.pi * (p - 0.5))
+    lo = np.full_like(p, -np.inf)
+    hi = np.zeros_like(p)
+    active = np.arange(p.size)
+    for _ in range(100):
+        xa = x[active]
+        r = mu1_cdf(xa) - p[active]
+        above = r > 0.0
+        lo_a = np.where(above, lo[active], xa)
+        hi_a = np.where(above, xa, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = xa - r / mu1_pdf(xa)
+        split = np.where(np.isinf(lo_a), 2.0 * hi_a - 1.0, 0.5 * (lo_a + hi_a))
+        nxt = np.where((nxt > lo_a) & (nxt < hi_a), nxt, split)
+        done = (np.abs(r) <= 2.0**-53) | (np.abs(nxt - xa) <= 4e-16 * np.abs(xa))
+        x[active] = np.where(done, xa, nxt)
+        lo[active], hi[active] = lo_a, hi_a
+        active = active[~done]
+        if active.size == 0:
+            break
+    x = np.where(arr.ravel() > 0.5, -x, x).reshape(arr.shape)
+    return _ret(x, scalar)
+
+
 def _mu1_proposals(gen, k):
     """One rejection round: k envelope draws and their accept mask.
 
@@ -475,11 +513,17 @@ def sample_mu_alpha(alpha: float, rng: RngStream, size=None):
     gen = rng.generator
     y = _sample_mu1(gen, n)
     if alpha < 1.0:
-        u_comp = gen.random(n)
-        u_par = gen.random(n)
-        w = np.where(u_comp < alpha, 1.0, (1.0 - u_par) ** (-1.0 / alpha))
-        y = y * w
+        y = mu1_to_mu_alpha(alpha, y, gen.random(n), gen.random(n))
     return float(y[0]) if scalar else y
+
+
+def mu1_to_mu_alpha(alpha, y, u_comp, u_par):
+    """Map ``mu_1`` draws y to ``mu_alpha`` draws y * W.
+
+    W is 1 when ``u_comp < alpha`` and the Pareto(alpha) quantile of
+    ``u_par`` otherwise, so W is exactly 1 at alpha = 1.
+    """
+    return y * np.where(u_comp < alpha, 1.0, Pareto(alpha).ppf(u_par))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ transition applies the kernel mechanics:
   the tail factor is symmetric, and when the switch stays off the atom is
   realized as ``v * u * R`` with ``R = +-1`` equiprobable.
 
+Both transitions live in :mod:`.convolution`, where ``kernel_sample``
+uses them too; every step law maps a fixed-width block of uniforms to
+its draws (``MuAlpha`` takes three: one for ``mu1_ppf`` and two for its
+Pareto factor).
+
 Path ``m`` of a simulation draws exclusively from the stream
 ``(seed, stream_id=m)``; within a path the uniforms are consumed in a
 fixed order (step, switch, tail, sign), with the tail uniform drawn on
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convolution import _kendall_transition, _weak_transition
 from .errors import ParameterError, ResourceError, SupportError
 from .measures import (
     Beta,
@@ -42,11 +48,14 @@ from .measures import (
     Distribution,
     FiniteMixture,
     Gamma,
+    MuAlpha,
     Pareto,
     RngStream,
     Scaled,
     SymPareto,
     Uniform01,
+    mu1_ppf,
+    mu1_to_mu_alpha,
     philox_key,
     sample_mu_alpha,
 )
@@ -60,10 +69,8 @@ __all__ = [
     "WalkPath",
     "WalkEnsemble",
     "AssociatedWalkEnsemble",
-    "SubsampledEnsemble",
     "simulate",
     "simulate_associated",
-    "subsample",
     "step_kendall",
     "step_weak_kendall",
     "worker_count",
@@ -121,6 +128,7 @@ class WalkConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if not isinstance(self.unit_step, Distribution):
             raise ParameterError(f"unit_step must be a Distribution, got {self.unit_step!r}")
+        _quantile_draws(self.unit_step)
         if kind == "kendall" and self.unit_step.support[0] < 0:
             raise SupportError(
                 "kendall walks need a step law on [0, inf); "
@@ -183,36 +191,22 @@ class AssociatedWalkEnsemble:
         return self.partial_sums.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SubsampledEnsemble:
-    """States of X_{k n} for n = 0..floor(N/k); carries states only."""
+def _quantile_draws(law: Distribution) -> int:
+    """Uniforms one draw of ``law`` takes from a path's stream.
 
-    config: WalkConfig
-    stride: int
-    states: np.ndarray
-
-    def __len__(self):
-        return self.states.shape[0]
-
-
-def _quantile_draws(law: Distribution):
-    """Fixed per-sample uniform consumption for inverse-CDF sampling.
-
-    Returns None for laws without a fixed-draw quantile scheme (these fall
-    back to the scalar per-path engine).
+    Raises ParameterError for a law without a block sampler.
     """
     if isinstance(law, Dirac):
         return 0
     if isinstance(law, (Pareto, SymPareto, Uniform01, Beta, Gamma)):
         return 1
+    if isinstance(law, MuAlpha):
+        return 3
     if isinstance(law, Scaled):
         return _quantile_draws(law.base)
     if isinstance(law, FiniteMixture):
-        subs = [_quantile_draws(component) for _, component in law.components]
-        if any(s is None for s in subs):
-            return None
-        return 1 + max(subs)
-    return None
+        return 1 + max(_quantile_draws(component) for _, component in law.components)
+    raise ParameterError(f"no block sampler for step law {law!r}")
 
 
 def _block_sample(law: Distribution, u_block: np.ndarray) -> np.ndarray:
@@ -220,6 +214,12 @@ def _block_sample(law: Distribution, u_block: np.ndarray) -> np.ndarray:
     m = u_block.shape[0]
     if isinstance(law, Dirac):
         return np.full(m, law.location, dtype=float)
+    if isinstance(law, Scaled):
+        u = u_block if law.factor > 0 else 1.0 - u_block
+        return _block_sample(law.base, u) * law.factor
+    if isinstance(law, MuAlpha):
+        y = mu1_ppf(u_block[:, 0])
+        return mu1_to_mu_alpha(law.alpha, y, u_block[:, 1], u_block[:, 2])
     if isinstance(law, FiniteMixture):
         cum = np.cumsum([w for w, _ in law.components])
         idx = np.searchsorted(cum, u_block[:, 0], side="right")
@@ -256,36 +256,6 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     return out
 
 
-def _kendall_transition(alpha, x, dx, u_q, u_t):
-    v = np.maximum(x, dx)
-    safe = np.where(v > 0, v, 1.0)
-    z = np.minimum(x, dx) / safe
-    q = u_q < z**alpha
-    theta = (1.0 - u_t) ** (-1.0 / (2.0 * alpha))
-    mult = np.where(q, theta, 1.0)
-    nxt = np.where(v > 0, v * mult, 0.0)
-    return nxt, mult, q
-
-
-def _weak_transition(alpha, x, dx, u_q, u_t, u_r):
-    ax, adx = np.abs(x), np.abs(dx)
-    v = np.maximum(ax, adx)
-    safe = np.where(v > 0, v, 1.0)
-    z = np.minimum(ax, adx) / safe
-    sgn = np.where(ax >= adx, np.sign(x), np.sign(dx))
-    q = u_q < z**alpha
-    inv = -1.0 / (2.0 * alpha)
-    theta = np.where(
-        u_t < 0.5,
-        -(np.maximum(2.0 * u_t, 1e-300) ** inv),
-        np.maximum(2.0 * (1.0 - u_t), 1e-300) ** inv,
-    )
-    r = np.where(u_r < 0.5, -1.0, 1.0)
-    mult = np.where(q, theta, r)
-    nxt = np.where(v > 0, v * sgn * mult, 0.0)
-    return nxt, mult, q
-
-
 def _simulate_chunk_quantile(cfg: WalkConfig, kdraws: int, lo: int, hi: int, out):
     states, steps, thetas, switches = out
     n_steps = cfg.horizon
@@ -316,33 +286,6 @@ def _simulate_chunk_quantile(cfg: WalkConfig, kdraws: int, lo: int, hi: int, out
         states[sl, i + 1] = x
         thetas[sl, i - 1] = mult
         switches[sl, i - 1] = q
-
-
-def _simulate_chunk_scalar(cfg: WalkConfig, lo: int, hi: int, out):
-    states, steps, thetas, switches = out
-    n_steps = cfg.horizon
-    weak = cfg.convolution == "weak_kendall"
-    for m in range(lo, hi):
-        rng = RngStream(cfg.seed, m)
-        gen = rng.generator
-        states[m, 0] = 0.0
-        x = float(cfg.unit_step.sample(rng))
-        steps[m, 0] = x
-        states[m, 1] = x
-        for i in range(1, n_steps):
-            dx = float(cfg.unit_step.sample(rng))
-            u_q = gen.random()
-            u_t = gen.random()
-            if weak:
-                u_r = gen.random()
-                x, mult, q = _weak_transition(cfg.alpha, x, dx, u_q, u_t, u_r)
-            else:
-                x, mult, q = _kendall_transition(cfg.alpha, x, dx, u_q, u_t)
-            x, mult, q = float(x), float(mult), bool(q)
-            steps[m, i] = dx
-            states[m, i + 1] = x
-            thetas[m, i - 1] = mult
-            switches[m, i - 1] = q
 
 
 def _check_memory(paths: int, horizon: int):
@@ -379,11 +322,7 @@ def simulate(config: WalkConfig) -> WalkEnsemble:
     switches = np.zeros((m, max(n - 1, 0)), dtype=bool)
     out = (states, steps, thetas, switches)
     kdraws = _quantile_draws(config.unit_step)
-    if kdraws is None:
-        task = lambda lo, hi: _simulate_chunk_scalar(config, lo, hi, out)
-    else:
-        task = lambda lo, hi: _simulate_chunk_quantile(config, kdraws, lo, hi, out)
-    _run_chunks(m, task)
+    _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(config, kdraws, lo, hi, out))
     return WalkEnsemble(config=config, states=states, steps=steps,
                         thetas=thetas, switches=switches)
 
@@ -414,20 +353,6 @@ def simulate_associated(config: WalkConfig) -> AssociatedWalkEnsemble:
     np.cumsum(steps * multipliers, axis=1, out=partial[:, 1:])
     return AssociatedWalkEnsemble(config=config, steps=steps,
                                   multipliers=multipliers, partial_sums=partial)
-
-
-def subsample(ensemble: WalkEnsemble, k: int) -> SubsampledEnsemble:
-    """States observed every k steps: Z_n = X_{k n}, n = 0..floor(N/k)."""
-    if k < 1 or int(k) != k:
-        raise ParameterError(f"stride must be a positive integer, got {k!r}")
-    k = int(k)
-    if k > ensemble.config.horizon:
-        raise ParameterError(
-            f"stride {k} exceeds horizon {ensemble.config.horizon}; nothing to observe"
-        )
-    return SubsampledEnsemble(
-        config=ensemble.config, stride=k, states=ensemble.states[:, ::k].copy()
-    )
 
 
 def step_kendall(x: float, dx: float, alpha: float, rng: RngStream):

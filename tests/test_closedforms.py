@@ -30,8 +30,6 @@ from kendall_walks import (
 )
 from kendall_walks.closedforms import (
     CLOSED_FORMS,
-    _unvalidated_increment_display,
-    _unvalidated_joint_display,
     mu1_nfold_pdf_quadrature,
 )
 
@@ -272,16 +270,20 @@ def test_envelope_prob_second_order_asymptote():
         assert abs(ratio - 1.0) < 0.01
 
 
+def test_envelope_prob_precision_at_large_n():
+    # two-term series m(m+1) q^2/2 - m(m-1)(m+1) q^3/3 of 1 - (1 + m q)(1 - q)^m;
+    # the next term is smaller by a factor of order (m q)^2 < 1e-17
+    for n in (10**10, 10**12, 10**14, 10**16):
+        m = float(n - 1)
+        q = np.log(float(n)) / float(n) ** 2
+        series = m * (m + 1) * q**2 / 2 - m * (m - 1) * (m + 1) * q**3 / 3
+        assert envelope_prob(n, 1.0) == pytest.approx(series, rel=1e-12, abs=0.0)
+
+
 def test_envelope_summability_integral():
     # sum_n n^(-2r) ln^2 n converges like int_1^inf x^-2 ln^2 x dx = 2
     val, _ = integrate.quad(lambda x: x**-2 * np.log(x) ** 2, 1.0, np.inf)
     assert abs(val - 2.0) < 1e-9
-
-
-def test_unvalidated_displays_fail_normalization():
-    # transcribed displays kept for reference; they exceed total mass one
-    assert _unvalidated_increment_display(1e4) > 2.5
-    assert _unvalidated_joint_display(1.0, 2.0) > 1.0
 
 
 def test_registry_contents():

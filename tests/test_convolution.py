@@ -20,7 +20,6 @@ from kendall_walks import (
     WeakKendall,
     convolve_atomic,
     convolve_sample,
-    kendall_kernel_sample,
     kernel,
     kernel_sample,
     ks_statistic,
@@ -30,6 +29,7 @@ from kendall_walks import (
     phi,
     scale,
 )
+from kendall_walks.convolution import _weak_transition
 from kendall_walks.verify import KS_COEFF
 
 locs = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
@@ -121,7 +121,7 @@ def test_convolve_atomic_rejects_continuous_parts():
 def test_kendall_kernel_sample_statistics():
     gen = RngStream(5, 0).generator
     n = 40000
-    vals = kendall_kernel_sample(1.0, np.ones(n), np.full(n, 2.0), gen)
+    vals = kernel_sample(Kendall(1.0), np.ones(n), np.full(n, 2.0), gen)
     stay = vals == 2.0
     assert abs(np.mean(stay) - 0.5) < 3 * 0.5 / np.sqrt(n)
     tail = vals[~stay]
@@ -133,7 +133,7 @@ def test_weak_kernel_modulus_matches_kendall():
     gen2 = RngStream(6, 1).generator
     n = 40000
     weak = kernel_sample(WeakKendall(1.0), np.ones(n), np.full(n, -2.0), gen1)
-    kend = kendall_kernel_sample(1.0, np.ones(n), np.full(n, 2.0), gen2)
+    kend = kernel_sample(Kendall(1.0), np.ones(n), np.full(n, 2.0), gen2)
     assert ks_two_sample(np.abs(weak), kend) <= 3 * KS_COEFF * np.sqrt(2.0 / n)
     assert abs(np.mean(np.sign(weak))) < 3 / np.sqrt(n)
 
@@ -148,6 +148,26 @@ def test_kernel_sample_dispatch_exact_kinds():
     sym = kernel_sample(SymmetricConv(), np.ones(4000), np.full(4000, 2.0), gen)
     assert set(np.unique(sym)) == {1.0, 3.0}
     assert abs(np.mean(sym == 3.0) - 0.5) < 3 * 0.5 / np.sqrt(4000)
+
+
+def test_weak_transition_ties_take_first_sign():
+    # |x| = |dx| with opposite signs: the carrier sign is sign(x)
+    x = np.array([1.0, -2.0])
+    dx = np.array([-1.0, 2.0])
+    nxt, mult, q = _weak_transition(0.5, x, dx, np.full(2, 0.3), np.full(2, 0.7), np.full(2, 0.2))
+    assert np.all(q)
+    assert np.array_equal(nxt / mult, x)
+
+
+@pytest.mark.parametrize(
+    "kind", [Kendall(1.0), WeakKendall(0.5), MaxConv(), AlphaConv(2.0), SymmetricConv()]
+)
+def test_kernel_sample_rejects_nan(kind):
+    gen = RngStream(10, 0).generator
+    with pytest.raises(SupportError):
+        kernel_sample(kind, np.array([1.0, np.nan]), np.array([1.0, 2.0]), gen)
+    with pytest.raises(SupportError):
+        kernel_sample(kind, np.array([1.0]), np.array([np.nan]), gen)
 
 
 def test_convolve_sample_two_unit_steps():

@@ -20,6 +20,7 @@ from kendall_walks import (
     ks_statistic,
     mu1_cdf,
     mu1_pdf,
+    mu1_ppf,
     philox_key,
     sample_mu_alpha,
     scale_law,
@@ -204,6 +205,26 @@ def test_mu1_cdf_consistent_with_pdf():
         if x < 0:
             ref = 1.0 - ref
         assert abs(mu1_cdf(x) - ref) < 1e-10
+
+
+def test_mu1_ppf_inverts_cdf():
+    edges = np.array([0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+    u = np.concatenate([RngStream(61, 0).generator.random(100_000), edges])
+    x = mu1_ppf(u)
+    assert np.all(np.isfinite(x))
+    assert np.max(np.abs(mu1_cdf(x) - u)) <= 2e-15
+    assert isinstance(mu1_ppf(0.3), float)
+    with pytest.raises(ParameterError):
+        mu1_ppf(np.array([0.5, np.nan]))
+    with pytest.raises(ParameterError):
+        mu1_ppf(1.5)
+
+
+def test_mu1_ppf_antisymmetric():
+    # for u >= 1/2 the reflection 1 - u is exact, so Q(1 - u) = -Q(u) bit for bit
+    u = 0.5 + 0.5 * RngStream(62, 0).generator.random(100_000)
+    assert np.array_equal(mu1_ppf(1.0 - u), -mu1_ppf(u))
+    assert mu1_ppf(0.5) == 0.0
 
 
 def test_mu1_rejection_acceptance_rate():

@@ -1,22 +1,31 @@
 """Path simulation: engines, streams, layout, worker invariance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from kendall_walks import (
+    Beta,
     Dirac,
+    Distribution,
+    FiniteMixture,
+    Gamma,
     Kendall,
+    MuAlpha,
     ParameterError,
     Pareto,
     ResourceError,
     RngStream,
+    Scaled,
     SupportError,
     SymPareto,
     Uniform01,
     WalkConfig,
+    empirical_chf,
     increment_cdf,
     increment_joint_prob,
-    kendall_kernel_sample,
+    kernel_sample,
     ks_statistic,
     ks_two_sample,
     nstep_delta1_cdf,
@@ -24,7 +33,6 @@ from kendall_walks import (
     simulate_associated,
     step_kendall,
     step_weak_kendall,
-    subsample,
     symmetrized_atom,
     worker_count,
 )
@@ -96,6 +104,89 @@ def test_weak_engine_matches_scalar_replay():
             x = ens.states[m, i + 1]
 
 
+_DIGEST_LAWS = {
+    "dirac": Dirac(1.0),
+    "pareto": Pareto(2.0),
+    "uniform": Uniform01(),
+    "gamma": Gamma(2.0, 1.5),
+    "beta": Beta(2.0, 3.0),
+    "mixture": FiniteMixture(((0.3, Dirac(1.0)), (0.5, Pareto(1.5)), (0.2, Uniform01()))),
+    "scaled_neg_pareto": Scaled(Pareto(2.0), -1.0),
+}
+
+# SHA-256 over the bytes of states, steps, thetas and switches, in that
+# order, for 64 paths x 6 steps at alpha 0.7 and seed 20261018.
+_GOLDEN_DIGESTS = {
+    "kendall/dirac": "da134c452831d6f8191f598762c9872d9b682ef72a29b4e635b67aa143dd0d5c",
+    "kendall/pareto": "d0d7bdc64a7e1458d3d159b43f1755c543a060c99874d8c7bca5da0fcc559b21",
+    "kendall/uniform": "86ac611b92b1aab57dd01a998860f5dd91cda751b69bc045c8645d7c4c41e510",
+    "kendall/gamma": "330f99ccabc696eb39a3d7ad2ff83e9a2d9c36eed2e55750361ea79642a5b676",
+    "kendall/beta": "f08d05796283a64be18dc60441ac775a7d088cb8841d469b1e84644679d1adb5",
+    "kendall/mixture": "88215c46cd7fb2a9697872ddee88bc61395019950af4b98ca74837f470a7ab0c",
+    "weak_kendall/dirac": "90d476ca2d4c05a0ce534cd3cb127f865bd69b7076c5a6a46276b01c6980df75",
+    "weak_kendall/pareto": "751ed0765a79d8eb2a14c6c22c6d5563d39be8a6a53d538707f918d843c5e7d8",
+    "weak_kendall/uniform": "2db3e3fb3518461084d307e41d08fbe299eb82f3312858088666714642a4b323",
+    "weak_kendall/gamma": "7a75c344dcdacd06da4bbe20f60035ebecd3e99e712180dce6f96a8e92662e8c",
+    "weak_kendall/beta": "4a4b3e9225c4e13fe770eecdbd62585327f3c0c86bb141d35a4e0f5405ce0879",
+    "weak_kendall/mixture": "fe75cb4de39d5ca18a6ae9078774d5cedc7d440ee510134e9f5644889d618a00",
+    "weak_kendall/scaled_neg_pareto": "e7696453b85ea005f550628fbb4c0a328d0783b3af01852f2f75fc96531689a1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN_DIGESTS))
+def test_simulate_output_is_pinned(key):
+    kind, name = key.split("/")
+    ens = simulate(WalkConfig(kind, 0.7, _DIGEST_LAWS[name], 6, 64, 20261018))
+    h = hashlib.sha256()
+    for arr in (ens.states, ens.steps, ens.thetas, ens.switches):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == _GOLDEN_DIGESTS[key]
+
+
+@pytest.mark.parametrize("a", [1.0, 0.6])
+def test_mu_alpha_steps_follow_the_law(a):
+    # X_1 is the first step; compared with the rejection sampler and with
+    # the characteristic function (1 - |t|^a)_+, neither of which uses mu1_cdf
+    n = 50000
+    x1 = simulate(WalkConfig("weak_kendall", 0.7, MuAlpha(a), 1, n, 71)).states[:, 1]
+    ref = MuAlpha(a).sample(RngStream(72, 0), n)
+    assert ks_two_sample(x1, ref) <= 3 * KS_COEFF * np.sqrt(2.0 / n)
+    t = np.linspace(0.1, 0.9, 9)
+    est, se = empirical_chf(x1, t)
+    assert np.all(np.abs(est - (1.0 - t**a)) <= 5 * se + 1e-4)
+
+
+def test_mu_alpha_mixture_independent_of_workers(monkeypatch):
+    mix = FiniteMixture(((0.5, MuAlpha(0.6)), (0.3, symmetrized_atom(1.0)), (0.2, MuAlpha(1.0))))
+    cfg = WalkConfig("weak_kendall", 0.8, mix, 3, 20000, 73)
+    monkeypatch.setenv("KENDALL_WALKS_THREADS", "1")
+    a = simulate(cfg)
+    monkeypatch.setenv("KENDALL_WALKS_THREADS", "2")
+    b = simulate(cfg)
+    assert np.all(np.isfinite(a.states))
+    for name in ("states", "steps", "thetas", "switches"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_scaled_mixture_steps_scale_exactly():
+    mix = FiniteMixture(((0.5, symmetrized_atom(1.0)), (0.5, SymPareto(1.5))))
+    base = simulate(WalkConfig("weak_kendall", 0.7, mix, 3, 10, 1))
+    scaled = simulate(WalkConfig("weak_kendall", 0.7, Scaled(mix, 2.0), 3, 10, 1))
+    assert np.array_equal(scaled.steps, 2.0 * base.steps)
+    assert np.array_equal(scaled.states, 2.0 * base.states)
+
+
+def test_config_rejects_law_without_block_sampler():
+    class Exponential(Distribution):
+        support = (0.0, np.inf)
+
+    with pytest.raises(ParameterError):
+        WalkConfig("kendall", 1.0, Exponential(), 3, 10, 0)
+    mix = FiniteMixture(((0.5, Dirac(1.0)), (0.5, Exponential())))
+    with pytest.raises(ParameterError):
+        WalkConfig("kendall", 1.0, mix, 3, 10, 0)
+
+
 def test_simulate_deterministic_in_seed():
     cfg = WalkConfig("kendall", 1.0, Uniform01(), 5, 300, 21)
     a = simulate(cfg)
@@ -146,7 +237,7 @@ def test_semigroup_two_sample():
     four = simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 4, n, 37)).states[:, 4]
     a = simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 2, n, 38)).states[:, 2]
     b = simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 2, n, 39)).states[:, 2]
-    glued = kendall_kernel_sample(1.0, a, b, RngStream(40, 0).generator)
+    glued = kernel_sample(Kendall(1.0), a, b, RngStream(40, 0).generator)
     assert ks_two_sample(four, glued) <= 3 * KS_COEFF * np.sqrt(2.0 / n)
 
 
@@ -166,19 +257,6 @@ def test_increments_are_dependent():
     se = np.sqrt(np.mean(a) * np.mean(b) / n)
     assert abs(cov) > 5 * se
     assert np.sign(cov) == np.sign(want_cov)
-
-
-def test_subsample_views_and_validation():
-    cfg = WalkConfig("kendall", 1.0, Uniform01(), 6, 50, 43)
-    ens = simulate(cfg)
-    sub = subsample(ens, 2)
-    assert sub.stride == 2
-    assert np.array_equal(sub.states, ens.states[:, ::2])
-    assert np.array_equal(subsample(ens, 1).states, ens.states)
-    with pytest.raises(ParameterError):
-        subsample(ens, 0)
-    with pytest.raises(ParameterError):
-        subsample(ens, 7)
 
 
 def test_simulate_associated_partial_sums():
