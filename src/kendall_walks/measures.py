@@ -414,12 +414,17 @@ def mu1_pdf(x):
 
 
 def mu1_cdf(x):
-    """CDF of the law with characteristic function ``(1 - |t|)_+``."""
+    """CDF of the law with characteristic function ``(1 - |t|)_+``.
+
+    ``F(x) = 1/2 + (Si(x) - (1 - cos x) / x) / pi``, with ``1 - cos x``
+    evaluated as ``2 sin^2(x / 2)``, which keeps full relative precision
+    as x -> 0 (``F(x) - 1/2 ~ x / (2 pi)``).
+    """
     arr, scalar = _as_array(x)
-    small = np.abs(arr) < 1e-9
-    z = np.where(small, 1.0, arr)
+    zero = arr == 0.0
+    z = np.where(zero, 1.0, arr)
     si, _ = special.sici(z)
-    out = np.where(small, 0.5, 0.5 + (si - (1.0 - np.cos(z)) / z) / np.pi)
+    out = np.where(zero, 0.5, 0.5 + (si - 2.0 * np.sin(0.5 * z) ** 2 / z) / np.pi)
     return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 

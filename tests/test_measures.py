@@ -207,6 +207,18 @@ def test_mu1_cdf_consistent_with_pdf():
         assert abs(mu1_cdf(x) - ref) < 1e-10
 
 
+def test_mu1_cdf_near_zero_follows_series():
+    # F(x) - 1/2 = (x/2 - x^3/72) / pi + O(x^5); the O(x^5) term is below
+    # 3e-19 here, so only rounding separates the two sides
+    x = np.logspace(-12, -3, 400)
+    x = np.concatenate([x, -x])
+    dev = (mu1_cdf(x) - 0.5) - (x / 2 - x**3 / 72) / np.pi
+    assert np.max(np.abs(dev)) <= 2 * np.spacing(0.5)
+    for a in (3e-8, 1e-3):
+        grid = np.linspace(-a, a, 200_001)
+        assert np.all(np.diff(mu1_cdf(grid)) >= 0.0)
+
+
 def test_mu1_ppf_inverts_cdf():
     edges = np.array([0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
     u = np.concatenate([RngStream(61, 0).generator.random(100_000), edges])

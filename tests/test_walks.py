@@ -37,7 +37,7 @@ from kendall_walks import (
     worker_count,
 )
 from kendall_walks.verify import KS_COEFF
-from kendall_walks.walks import _path_uniform_block
+from kendall_walks.walks import _ARRAY_PHILOX_MAX_DRAWS, _path_uniform_block
 
 
 def _band(n):
@@ -65,13 +65,34 @@ def _replay_kendall(cfg):
 
 
 def test_path_uniform_block_matches_streams():
-    # the vectorized engine consumes exactly the per-path stream uniforms
+    # the vectorized engine consumes exactly the per-path stream uniforms,
+    # from the array Philox up to the crossover and the per-path loop above
     for m in (0, 1, 5, 63):
         row = _path_uniform_block(17, m, m + 1, 16)[0]
         want = RngStream(17, m).generator.random(16)
         assert np.array_equal(row, want)
     block = _path_uniform_block(17, 0, 64, 16)
     assert np.array_equal(block[5], RngStream(17, 5).generator.random(16))
+    cross = _ARRAY_PHILOX_MAX_DRAWS
+    # seeds beyond 64 bits and negative ones are masked by philox_key
+    for seed in (0, 2**64 - 1, -1, 2**64 + 3):
+        for draws in (0, 1, 3, 4, 5, cross, cross + 1):
+            for lo in (0, 2**40):
+                block = _path_uniform_block(seed, lo, lo + 3, draws)
+                assert block.shape == (3, draws)
+                for i in range(3):
+                    want = RngStream(seed, lo + i).generator.random(draws)
+                    assert np.array_equal(block[i], want), (seed, draws, lo, i)
+    # uneven [lo, hi) pieces of [0, n) give the rows of one block
+    cuts = (0, 1, 8, 9, 30, 41)
+    for draws in (7, cross + 1):
+        whole = _path_uniform_block(29, 0, cuts[-1], draws)
+        pieces = [_path_uniform_block(29, a, b, draws) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(pieces), whole)
+    # a Dirac walk of one step draws no uniforms at all
+    ens = simulate(WalkConfig("kendall", 1.0, Dirac(2.0), 1, 5, 3))
+    assert np.array_equal(ens.states, np.tile([0.0, 2.0], (5, 1)))
+    assert ens.thetas.shape == (5, 0)
 
 
 def test_vectorized_engine_matches_scalar_replay():
