@@ -17,6 +17,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import ParameterError
+from .measures import _check_positive
 
 __all__ = [
     "nstep_delta1_cdf",
@@ -39,11 +40,6 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha):
-    if not (alpha > 0) or not math.isfinite(alpha):
-        raise ParameterError(f"alpha must be positive and finite, got {alpha!r}")
-
-
 def _check_n(n, least):
     if int(n) != n or n < least:
         raise ParameterError(f"n must be an integer >= {least}, got {n!r}")
@@ -62,7 +58,7 @@ def _ret(out, scalar):
 def nstep_delta1_cdf(n: int, alpha: float, x):
     """CDF of the n-step unit-atom walk: (1 + (n-1) y)(1 - y)_+^(n-1), y = x^(-alpha)."""
     n = _check_n(n, 1)
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     arr, scalar = _as_float_array(x)
     safe = np.maximum(arr, 1.0)
     y = safe**-alpha
@@ -73,7 +69,7 @@ def nstep_delta1_cdf(n: int, alpha: float, x):
 def nstep_delta1_pdf(n: int, alpha: float, x):
     """Density of the n-step unit-atom walk (n >= 2, support [1, inf))."""
     n = _check_n(n, 2)
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     arr, scalar = _as_float_array(x)
     safe = np.maximum(arr, 1.0)
     y = safe**-alpha
@@ -89,7 +85,7 @@ def nstep_uniform_cdf(n: int, alpha: float, x):
     (1 - c)^(n-1) (1 + (n-1) c), c = 1/((alpha+1) x^alpha), on [1, inf).
     """
     n = _check_n(n, 2)
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     arr, scalar = _as_float_array(x)
     lo = np.clip(arr, 0.0, 1.0)
     left = (alpha / (alpha + 1.0)) ** n * (1.0 + n / alpha) * lo**n
@@ -110,7 +106,7 @@ def _nstep_from_parts(cdf_vals, moment_vals, alpha, n, x):
 def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
     """CDF of the n-step walk with Beta(a, b) steps, via incomplete Beta functions."""
     n = _check_n(n, 1)
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     if a <= 0 or b <= 0:
         raise ParameterError(f"Beta parameters must be positive, got ({a!r}, {b!r})")
     arr, scalar = _as_float_array(x)
@@ -129,7 +125,7 @@ def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
 def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
     """CDF of the n-step walk with Gamma(shape a, rate b) steps."""
     n = _check_n(n, 1)
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     if a <= 0 or b <= 0:
         raise ParameterError(f"Gamma parameters must be positive, got ({a!r}, {b!r})")
     arr, scalar = _as_float_array(x)
@@ -238,8 +234,7 @@ def mixture_power_pdf(n: int, alpha: float, x):
             * (1 - alpha + (alpha n - 1) |x|^-alpha)   on |x| > 1.
     """
     n = _check_n(n, 2)
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
+    _check_positive("alpha", alpha, 1.0)
     arr, scalar = _as_float_array(x)
     ax = np.maximum(np.abs(arr), 1.0)
     y = ax**-alpha
@@ -320,7 +315,7 @@ def mu1_nfold_pdf_quadrature(n: int, x: float) -> float:
 
 def transience_sum(alpha: float, x):
     """sum_{n >= 1} F_n(x) for the unit-atom walk: x^alpha (2 - x^(-alpha)) on x >= 1."""
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     arr, scalar = _as_float_array(x)
     if np.any(arr < 0):
         raise ParameterError(f"threshold x must be nonnegative, got {x!r}")
@@ -337,7 +332,7 @@ def transience_partial_sum(alpha: float, x: float, n_max: int | None = None,
     q^N (N y + 2 - y)/y exactly; when ``n_max`` is omitted, N grows until
     the bound drops below ``tol``.
     """
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     if x < 0:
         raise ParameterError(f"threshold x must be nonnegative, got {x!r}")
     if x < 1.0:
@@ -383,7 +378,7 @@ def envelope_prob(n, r: float, alpha: float = 1.0):
     n = 1e16.  Tiny n where q >= 1 clamps to 1; n = 1 gives 0.  Requires
     r > 1/2 (the summability range).
     """
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     if not (r > 0.5):
         raise ParameterError(f"r must exceed 1/2, got {r!r}")
     arr = np.asarray(n, dtype=float)

@@ -26,6 +26,7 @@ from .measures import (
     Pareto,
     RngStream,
     SymPareto,
+    _check_positive,
     scale_law,
     symmetrized_atom,
 )
@@ -102,11 +103,6 @@ class Convolution:
             )
 
 
-def _check_alpha_pos(alpha):
-    if not (alpha > 0) or not math.isfinite(alpha):
-        raise ParameterError(f"alpha must be positive and finite, got {alpha!r}")
-
-
 @dataclass(frozen=True)
 class Kendall(Convolution):
     """delta_a x delta_b -> (1 - z^alpha) delta_v + z^alpha T_v Pareto(2 alpha)."""
@@ -116,7 +112,7 @@ class Kendall(Convolution):
     real_line = False
 
     def __post_init__(self):
-        _check_alpha_pos(self.alpha)
+        _check_positive("alpha", self.alpha)
 
     def kernel(self, a, b):
         self._check_args(a, b)
@@ -144,8 +140,7 @@ class WeakKendall(Convolution):
     real_line = True
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0) or not math.isfinite(self.alpha):
-            raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        _check_positive("alpha", self.alpha, 1.0)
 
     def kernel(self, a, b):
         v = max(abs(a), abs(b))
@@ -184,7 +179,7 @@ class AlphaConv(Convolution):
     real_line = False
 
     def __post_init__(self):
-        _check_alpha_pos(self.alpha)
+        _check_positive("alpha", self.alpha)
 
     def kernel(self, a, b):
         self._check_args(a, b)

@@ -1,8 +1,9 @@
 """Probability laws used throughout the package.
 
-Every law exposes the same small interface: ``sample``, ``cdf`` (right
-continuous), ``pdf`` (density of the absolutely continuous part),
-``atoms``, ``truncated_alpha_moment`` and a ``support`` descriptor.  Laws
+Every law exposes the same small interface: ``sample`` (by default the
+quantile ``ppf`` of the stream's uniforms), ``cdf`` (right continuous),
+``pdf`` (density of the absolutely continuous part), ``atoms``,
+``truncated_alpha_moment`` and a ``support`` descriptor.  Laws
 are frozen dataclasses, so structural equality works and they can be used
 as dictionary keys.
 
@@ -84,6 +85,10 @@ class Distribution:
         raise NotImplementedError
 
     def sample(self, rng: RngStream, size=None):
+        """Draw through the quantile: ``ppf`` of ``size`` stream uniforms."""
+        return self.ppf(rng.generator.random(size))
+
+    def ppf(self, u):
         raise NotImplementedError
 
     def cdf(self, x):
@@ -131,9 +136,11 @@ class Distribution:
             )
 
 
-def _check_positive(name, value):
-    if not (value > 0) or not math.isfinite(value):
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+def _check_positive(name, value, upper=math.inf):
+    """Raise ParameterError unless ``value`` is finite and in (0, upper]."""
+    if not (0 < value <= upper) or not math.isfinite(value):
+        domain = "positive and finite" if upper == math.inf else f"in (0, {upper:g}]"
+        raise ParameterError(f"{name} must be {domain}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -200,10 +207,6 @@ class Pareto(Distribution):
         arr, scalar = _as_array(u)
         return _ret(self.scale * (1.0 - arr) ** (-1.0 / self.order), scalar)
 
-    def sample(self, rng, size=None):
-        u = rng.generator.random(size)
-        return self.ppf(u) if size is not None else float(self.ppf(u))
-
     def cdf(self, x):
         arr, scalar = _as_array(x)
         y = np.maximum(arr / self.scale, 1.0)
@@ -245,14 +248,12 @@ class SymPareto(Distribution):
         return (-math.inf, math.inf)
 
     def ppf(self, u):
+        # 2u and 2(1 - u) are floored at 2^-52, their values at the extreme
+        # 53-bit uniforms, so u = 0 and u = 1 give finite draws
         arr, scalar = _as_array(u)
-        lower = -np.maximum(2.0 * arr, 1e-300) ** (-1.0 / self.order)
-        upper = np.maximum(2.0 * (1.0 - arr), 1e-300) ** (-1.0 / self.order)
+        lower = -np.maximum(2.0 * arr, 2.0**-52) ** (-1.0 / self.order)
+        upper = np.maximum(2.0 * (1.0 - arr), 2.0**-52) ** (-1.0 / self.order)
         return _ret(self.scale * np.where(arr < 0.5, lower, upper), scalar)
-
-    def sample(self, rng, size=None):
-        u = rng.generator.random(size)
-        return self.ppf(u) if size is not None else float(self.ppf(u))
 
     def cdf(self, x):
         arr, scalar = _as_array(x)
@@ -387,10 +388,6 @@ class Uniform01(Distribution):
         arr, scalar = _as_array(u)
         return _ret(arr.copy(), scalar)
 
-    def sample(self, rng, size=None):
-        out = rng.generator.random(size)
-        return float(out) if size is None else out
-
     def cdf(self, x):
         arr, scalar = _as_array(x)
         return _ret(np.clip(arr, 0.0, 1.0), scalar)
@@ -418,13 +415,15 @@ def mu1_cdf(x):
 
     ``F(x) = 1/2 + (Si(x) - (1 - cos x) / x) / pi``, with ``1 - cos x``
     evaluated as ``2 sin^2(x / 2)``, which keeps full relative precision
-    as x -> 0 (``F(x) - 1/2 ~ x / (2 pi)``).
+    as x -> 0 (``F(x) - 1/2 ~ x / (2 pi)``).  At 0 and +-inf the value is
+    the exact 1/2, 1 or 0.
     """
     arr, scalar = _as_array(x)
-    zero = arr == 0.0
-    z = np.where(zero, 1.0, arr)
+    regular = np.isfinite(arr) & (arr != 0.0)
+    z = np.where(regular, arr, 1.0)
     si, _ = special.sici(z)
-    out = np.where(zero, 0.5, 0.5 + (si - 2.0 * np.sin(0.5 * z) ** 2 / z) / np.pi)
+    out = np.where(regular, 0.5 + (si - 2.0 * np.sin(0.5 * z) ** 2 / z) / np.pi,
+                   0.5 + 0.5 * np.sign(arr))
     return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
@@ -511,8 +510,7 @@ def sample_mu_alpha(alpha: float, rng: RngStream, size=None):
     Y ~ mu_1 and W equal to 1 with probability alpha, otherwise a
     Pareto(alpha) draw.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
+    _check_positive("alpha", alpha, 1.0)
     scalar = size is None
     n = 1 if scalar else int(size)
     gen = rng.generator
@@ -538,8 +536,7 @@ class MuAlpha(Distribution):
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0) or not math.isfinite(self.alpha):
-            raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        _check_positive("alpha", self.alpha, 1.0)
 
     @property
     def support(self):
@@ -615,16 +612,16 @@ class FiniteMixture(Distribution):
         los, his = zip(*(law.support for _, law in self.components))
         return (min(los), max(his))
 
-    def _weights(self):
-        return np.array([w for w, _ in self.components])
+    def _component_index(self, u):
+        """Index of the component that uniforms ``u`` select, by cumulative weight."""
+        cum = np.cumsum([w for w, _ in self.components])
+        idx = np.searchsorted(cum, u, side="right")
+        return np.minimum(idx, len(self.components) - 1)
 
     def sample(self, rng, size=None):
         scalar = size is None
         n = 1 if scalar else int(size)
-        gen = rng.generator
-        cum = np.cumsum(self._weights())
-        idx = np.searchsorted(cum, gen.random(n), side="right")
-        idx = np.minimum(idx, len(self.components) - 1)
+        idx = self._component_index(rng.generator.random(n))
         out = np.empty(n, dtype=float)
         for j, (_, law) in enumerate(self.components):
             mask = idx == j
@@ -702,12 +699,15 @@ class Scaled(Distribution):
             sorted((loc * self.factor, w) for loc, w in self.base.atoms())
         )
 
+    def _base_uniforms(self, u):
+        """Uniforms that drive ``base``: ``u`` for a positive factor, else
+        ``1 - u`` capped at ``1 - 2^-53``, so u = 0 maps like the smallest
+        positive 53-bit uniform instead of reaching ``base.ppf(1)``."""
+        return u if self.factor > 0 else np.minimum(1.0 - u, 1.0 - 2.0**-53)
+
     def ppf(self, u):
         arr, scalar = _as_array(u)
-        if self.factor > 0:
-            out = np.asarray(self.base.ppf(arr)) * self.factor
-        else:
-            out = np.asarray(self.base.ppf(1.0 - arr)) * self.factor
+        out = np.asarray(self.base.ppf(self._base_uniforms(arr))) * self.factor
         return _ret(out, scalar)
 
     def truncated_alpha_moment(self, x, alpha):

@@ -476,7 +476,6 @@ def moment_check(ensemble: WalkEnsemble, ns=None, tol: float = 1e-8) -> Verifica
 
 DEFAULT_CONFIG = {
     "seed": 20260816,
-    "alpha": 1.0,
     "samples": 200_000,
     "paths": 200_000,
     "horizon": 5,

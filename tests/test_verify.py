@@ -189,6 +189,9 @@ def test_run_verification_config_handling():
         run_verification("ks", {"not_a_key": 1})
     with pytest.raises(ParameterError):
         run_verification("ks", {"samples": -5})
+    # the suites fix their own tail indices; alpha is not a config key
+    with pytest.raises(ParameterError):
+        run_verification("ks", {"alpha": 0.3})
 
 
 def test_run_verification_small_suites_pass():

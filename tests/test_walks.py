@@ -31,13 +31,12 @@ from kendall_walks import (
     nstep_delta1_cdf,
     simulate,
     simulate_associated,
-    step_kendall,
-    step_weak_kendall,
     symmetrized_atom,
     worker_count,
 )
+from kendall_walks.convolution import _kendall_transition, _weak_transition
 from kendall_walks.verify import KS_COEFF
-from kendall_walks.walks import _ARRAY_PHILOX_MAX_DRAWS, _path_uniform_block
+from kendall_walks.walks import _ARRAY_PHILOX_MAX_DRAWS, _block_sample, _path_uniform_block
 
 
 def _band(n):
@@ -45,6 +44,8 @@ def _band(n):
 
 
 def _replay_kendall(cfg):
+    # one path at a time from its own stream: step, then switch and tail
+    # uniforms, fed to the transition as scalars
     states = np.zeros((cfg.paths, cfg.horizon + 1))
     steps = np.zeros((cfg.paths, cfg.horizon))
     thetas = np.zeros((cfg.paths, cfg.horizon - 1))
@@ -56,7 +57,9 @@ def _replay_kendall(cfg):
         states[m, 1] = x
         for i in range(1, cfg.horizon):
             dx = float(cfg.unit_step.sample(rng))
-            x, mult, q = step_kendall(x, dx, cfg.alpha, rng)
+            u_q, u_t = rng.generator.random(), rng.generator.random()
+            x, mult, q = _kendall_transition(cfg.alpha, np.float64(x), np.float64(dx),
+                                             u_q, u_t)
             steps[m, i] = dx
             states[m, i + 1] = x
             thetas[m, i - 1] = mult
@@ -117,7 +120,9 @@ def test_weak_engine_matches_scalar_replay():
         x = ens.states[m, 1]
         for i in range(1, cfg.horizon):
             dx = float(cfg.unit_step.sample(rng))
-            got, mult, q = step_weak_kendall(x, dx, cfg.alpha, rng)
+            u_q, u_t, u_r = (rng.generator.random() for _ in range(3))
+            got, mult, q = _weak_transition(cfg.alpha, np.float64(x), np.float64(dx),
+                                            u_q, u_t, u_r)
             assert np.isclose(ens.steps[m, i], dx, rtol=5e-16, atol=0.0)
             assert np.isclose(ens.states[m, i + 1], got, rtol=5e-15, atol=1e-300)
             assert np.isclose(ens.thetas[m, i - 1], mult, rtol=5e-15, atol=0.0)
@@ -317,6 +322,16 @@ def test_config_validation():
         WalkConfig("kendall", 1.0, SymPareto(2.0), 3, 10, 0)
     with pytest.raises(ParameterError):
         WalkConfig("planar", 1.0, Dirac(1.0), 3, 10, 0)
+    # convolution kinds without a walk
+    for kind in ("max", "alpha_conv", "symmetric_conv"):
+        with pytest.raises(ParameterError):
+            WalkConfig(kind, 1.0, Dirac(1.0), 3, 10, 0)
+    for alpha in (0.0, -1.0, np.nan, np.inf):
+        for kind in ("kendall", "weak_kendall"):
+            with pytest.raises(ParameterError):
+                WalkConfig(kind, alpha, Dirac(1.0), 3, 10, 0)
+    cfg = WalkConfig(" Weak-Kendall", 1.0, symmetrized_atom(1.0), 3, 10, 0)
+    assert cfg.convolution == "weak_kendall"
 
 
 def test_memory_guard():
@@ -337,13 +352,18 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
-def test_scalar_step_ops_validate():
-    rng = RngStream(0, 0)
-    with pytest.raises(SupportError):
-        step_kendall(-1.0, 1.0, 1.0, rng)
-    with pytest.raises(ParameterError):
-        step_kendall(1.0, 1.0, 0.0, rng)
-    nxt, mult, q = step_kendall(1.0, 2.0, 1.0, rng)
-    assert nxt == 2.0 * mult if q else nxt == 2.0
-    nxt, mult, q = step_weak_kendall(-1.0, 0.5, 1.0, rng)
-    assert np.isfinite(nxt)
+def test_negative_scaled_law_maps_zero_uniform_like_smallest():
+    law = Scaled(Pareto(2.0), -1.0)
+    at_zero = law.ppf(0.0)
+    assert np.isfinite(at_zero)
+    assert at_zero == law.ppf(2.0**-53)
+
+
+@pytest.mark.parametrize(
+    "law", [Scaled(Pareto(2.0), -1.0), SymPareto(0.2),
+            Scaled(FiniteMixture(((0.5, Pareto(0.3)), (0.5, SymPareto(0.2)))), -2.0)],
+)
+def test_block_sample_of_zero_uniforms_is_finite(law):
+    with np.errstate(all="raise"):
+        out = _block_sample(law, np.zeros((4, 2)))
+    assert np.all(np.isfinite(out))
