@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import ParameterError
-from .measures import _check_positive
+from .measures import _check_int, _check_positive
 
 __all__ = [
     "nstep_delta1_cdf",
@@ -40,12 +40,6 @@ __all__ = [
 ]
 
 
-def _check_n(n, least):
-    if int(n) != n or n < least:
-        raise ParameterError(f"n must be an integer >= {least}, got {n!r}")
-    return int(n)
-
-
 def _as_float_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0
@@ -57,7 +51,7 @@ def _ret(out, scalar):
 
 def nstep_delta1_cdf(n: int, alpha: float, x):
     """CDF of the n-step unit-atom walk: (1 + (n-1) y)(1 - y)_+^(n-1), y = x^(-alpha)."""
-    n = _check_n(n, 1)
+    n = _check_int("n", n, 1)
     _check_positive("alpha", alpha)
     arr, scalar = _as_float_array(x)
     safe = np.maximum(arr, 1.0)
@@ -68,7 +62,7 @@ def nstep_delta1_cdf(n: int, alpha: float, x):
 
 def nstep_delta1_pdf(n: int, alpha: float, x):
     """Density of the n-step unit-atom walk (n >= 2, support [1, inf))."""
-    n = _check_n(n, 2)
+    n = _check_int("n", n, 2)
     _check_positive("alpha", alpha)
     arr, scalar = _as_float_array(x)
     safe = np.maximum(arr, 1.0)
@@ -84,7 +78,7 @@ def nstep_uniform_cdf(n: int, alpha: float, x):
     (alpha/(alpha+1))^n (1 + n/alpha) x^n on [0, 1) and
     (1 - c)^(n-1) (1 + (n-1) c), c = 1/((alpha+1) x^alpha), on [1, inf).
     """
-    n = _check_n(n, 2)
+    n = _check_int("n", n, 2)
     _check_positive("alpha", alpha)
     arr, scalar = _as_float_array(x)
     lo = np.clip(arr, 0.0, 1.0)
@@ -105,10 +99,10 @@ def _nstep_from_parts(cdf_vals, moment_vals, alpha, n, x):
 
 def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
     """CDF of the n-step walk with Beta(a, b) steps, via incomplete Beta functions."""
-    n = _check_n(n, 1)
+    n = _check_int("n", n, 1)
     _check_positive("alpha", alpha)
-    if a <= 0 or b <= 0:
-        raise ParameterError(f"Beta parameters must be positive, got ({a!r}, {b!r})")
+    _check_positive("a", a)
+    _check_positive("b", b)
     arr, scalar = _as_float_array(x)
     clipped = np.clip(arr, 0.0, 1.0)
     coeff = math.exp(
@@ -124,10 +118,10 @@ def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
 
 def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
     """CDF of the n-step walk with Gamma(shape a, rate b) steps."""
-    n = _check_n(n, 1)
+    n = _check_int("n", n, 1)
     _check_positive("alpha", alpha)
-    if a <= 0 or b <= 0:
-        raise ParameterError(f"Gamma parameters must be positive, got ({a!r}, {b!r})")
+    _check_positive("a", a)
+    _check_positive("b", b)
     arr, scalar = _as_float_array(x)
     pos = np.maximum(arr, 0.0)
     coeff = math.exp(special.gammaln(a + alpha) - special.gammaln(a)) / b**alpha
@@ -149,7 +143,7 @@ def increment_cdf(k: int, w: float) -> float:
     w <= 0 the atom mass (k-1)/(k+1) is returned (the right-continuous
     value at zero).
     """
-    k = _check_n(k, 2)
+    k = _check_int("k", k, 2)
     if w <= 0:
         return (k - 1.0) / (k + 1.0)
     lnorm = special.betaln(3.0, k - 1.0)
@@ -169,7 +163,7 @@ def joint_density(k: int, u, v):
     (k+1) k (k-1) u^(-2) v^(-3) (1 - 1/u)^(k-2) on 1 <= u <= v, normalized
     to total mass 1; the walk puts weight 2/(k+1) on this component.
     """
-    k = _check_n(k, 2)
+    k = _check_int("k", k, 2)
     u_arr, u_scalar = _as_float_array(u)
     v_arr, v_scalar = _as_float_array(v)
     u_safe = np.maximum(u_arr, 1.0)
@@ -187,7 +181,7 @@ def joint_density(k: int, u, v):
 
 def atom_prob(k: int) -> float:
     """P(X_{k+1} = X_k) = (k-1)/(k+1) for the unit-atom walk, any alpha."""
-    k = _check_n(k, 1)
+    k = _check_int("k", k, 1)
     return (k - 1.0) / (k + 1.0)
 
 
@@ -198,7 +192,7 @@ def increment_joint_prob(k: int, w: float, z: float) -> float:
     move part: (2/(k+1)) double integral of joint_density over
     {1 <= u <= z, u <= v <= u + w}.
     """
-    k = _check_n(k, 2)
+    k = _check_int("k", k, 2)
     if w < 0 or z < 1:
         return 0.0
     stay = (k - 1.0) / (k + 1.0) * (1.0 - special.betainc(2.0, k, min(1.0 / z, 1.0)))
@@ -233,7 +227,7 @@ def mixture_power_pdf(n: int, alpha: float, x):
         (alpha n / 2) |x|^(-alpha-1) (1 - |x|^-alpha)^(n-2)
             * (1 - alpha + (alpha n - 1) |x|^-alpha)   on |x| > 1.
     """
-    n = _check_n(n, 2)
+    n = _check_int("n", n, 2)
     _check_positive("alpha", alpha, 1.0)
     arr, scalar = _as_float_array(x)
     ax = np.maximum(np.abs(arr), 1.0)
@@ -279,7 +273,7 @@ def mu1_nfold_pdf(n: int, x):
     |x| <= sqrt((n+2)(n+3))/2, where its terms decay geometrically from
     the first one.
     """
-    n = _check_n(n, 1)
+    n = _check_int("n", n, 1)
     cutoff = _series_cutoff(n)
 
     def one(val: float) -> float:
@@ -305,7 +299,7 @@ def mu1_nfold_pdf(n: int, x):
 
 def mu1_nfold_pdf_quadrature(n: int, x: float) -> float:
     """Independent oracle: (1/pi) int_0^1 cos(t x) (1 - t)^n dt."""
-    n = _check_n(n, 1)
+    n = _check_int("n", n, 1)
     val, _ = integrate.quad(
         lambda t: math.cos(t * x) * (1.0 - t) ** n, 0.0, 1.0,
         epsabs=1e-13, epsrel=1e-13, limit=max(200, int(abs(x) / 2) + 50),
@@ -365,27 +359,26 @@ def _log1p_minus_x(x):
     return np.where(small, xs * xs * acc, np.log1p(x) - x)
 
 
-def envelope_prob(n, r: float, alpha: float = 1.0):
+def envelope_prob(n, r: float):
     """P(|X_n|^alpha > n^(r+1)/ln n) for the symmetrized unit-atom walk.
 
-    Free of alpha (the event is stated on the alpha-th power, and the
-    power law of |X_n|^alpha does not involve alpha); the argument is
-    validated and otherwise ignored.  With q = n^(-r-1) ln n and
-    m = n - 1 the probability is 1 - (1 + m q)(1 - q)_+^m = -expm1(L),
-    L = m g(-q) + g(m q) with g(x) = log1p(x) - x.  Both terms of L are
-    negative, so nothing cancels, and g is summed as a series for
-    |x| < 0.1; the result keeps a relative error of a few ulp up to
-    n = 1e16.  Tiny n where q >= 1 clamps to 1; n = 1 gives 0.  Requires
-    r > 1/2 (the summability range).
+    Free of alpha: the event is stated on the alpha-th power, and the
+    power law of |X_n|^alpha does not involve alpha.  With
+    q = n^(-r-1) ln n and m = n - 1 the probability is
+    1 - (1 + m q)(1 - q)_+^m = -expm1(L), L = m g(-q) + g(m q) with
+    g(x) = log1p(x) - x.  Both terms of L are negative, so nothing
+    cancels, and g is summed as a series for |x| < 0.1; the result keeps
+    a relative error of a few ulp up to n = 1e16.  Tiny n where q >= 1
+    clamps to 1; n = 1 gives 0.  Requires r > 1/2 (the summability
+    range).
     """
-    _check_positive("alpha", alpha)
     if not (r > 0.5):
         raise ParameterError(f"r must exceed 1/2, got {r!r}")
+    for v in np.ravel(n):
+        _check_int("n", v, 1)
     arr = np.asarray(n, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 1) or np.any(arr != np.round(arr)):
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
     q = np.log(arr) * arr ** (-r - 1.0)
     small = q < 1.0
     q_safe = np.where(small, np.minimum(q, 1.0 - 1e-16), 0.0)

@@ -1,9 +1,11 @@
 """Generalized convolutions acting on point masses and samples.
 
 Each convolution kind is determined by its action on a pair of point
-masses.  The two Kendall-type kinds map (delta_a, delta_b) to a
-two-component mixture (an atom plus a rescaled power tail) described by
-:class:`KernelMixture`; the remaining kinds produce purely atomic laws.
+masses: :func:`kernel` returns that action as a law.  The two
+Kendall-type kinds map (delta_a, delta_b) to an atom plus a rescaled
+power tail, ``(1 - z^alpha) delta_v + z^alpha T_v Pareto(2 alpha)``
+(the weak kind symmetrizes both parts); the remaining kinds produce
+purely atomic laws.
 
 Measure-level convolution is exposed through sampling
 (:func:`convolve_sample`), through exact kernel mixing for atomic laws
@@ -13,7 +15,6 @@ Measure-level convolution is exposed through sampling
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .measures import (
     RngStream,
     SymPareto,
     _check_positive,
-    scale_law,
     symmetrized_atom,
 )
 
@@ -38,53 +38,11 @@ __all__ = [
     "MaxConv",
     "AlphaConv",
     "SymmetricConv",
-    "KernelMixture",
     "kernel",
     "convolve_sample",
     "convolve_atomic",
-    "scale",
     "parse_convolution",
 ]
-
-
-@dataclass(frozen=True)
-class KernelMixture:
-    """Two-component law ``atom_weight * atom + pareto_weight * power tail``.
-
-    For the plain Kendall kernel the atom sits at ``atom_location`` and the
-    tail is a Pareto law rescaled by ``pareto_scale``; with
-    ``symmetric=True`` the atom is split evenly over +-atom_location and
-    the tail is symmetric.
-    """
-
-    atom_weight: float
-    atom_location: float
-    pareto_weight: float
-    pareto_scale: float
-    pareto_order: float
-    symmetric: bool = False
-
-    def __post_init__(self):
-        if not math.isclose(self.atom_weight + self.pareto_weight, 1.0, abs_tol=1e-12):
-            raise ParameterError(
-                f"kernel weights sum to {self.atom_weight + self.pareto_weight!r}"
-            )
-        if self.atom_weight < 0 or self.pareto_weight < 0:
-            raise ParameterError("kernel weights must be nonnegative")
-
-    def law(self) -> Distribution:
-        """The mixture as a plain Distribution."""
-        if self.symmetric:
-            atom = symmetrized_atom(self.atom_location)
-            tail = SymPareto(self.pareto_order, self.pareto_scale)
-        else:
-            atom = Dirac(self.atom_location)
-            tail = Pareto(self.pareto_order, self.pareto_scale)
-        if self.pareto_weight == 0.0:
-            return atom
-        if self.atom_weight == 0.0:
-            return tail
-        return FiniteMixture(((self.atom_weight, atom), (self.pareto_weight, tail)))
 
 
 class Convolution:
@@ -93,14 +51,41 @@ class Convolution:
     name: str = ""
     real_line: bool = False
 
-    def kernel(self, a: float, b: float):
+    def kernel(self, a: float, b: float) -> Distribution:
         raise NotImplementedError
 
-    def _check_args(self, a, b):
-        if not self.real_line and (a < 0 or b < 0):
+    def _check_points(self, a, b):
+        """Reject NaN arguments, and negative ones for a half-line kind.
+
+        ``a`` and ``b`` may be scalars or arrays.
+        """
+        if np.any(np.isnan(a)) or np.any(np.isnan(b)):
+            raise SupportError(f"{self.name} convolution got a NaN argument")
+        if not self.real_line and (np.any(a < 0) or np.any(b < 0)):
+            raise SupportError(f"{self.name} convolution acts on the half-line")
+
+    def _check_law(self, law: Distribution):
+        """Reject a law with mass below 0 for a half-line kind."""
+        if not self.real_line and law.support[0] < 0:
             raise SupportError(
-                f"{self.name} convolution acts on the half-line; got ({a!r}, {b!r})"
+                f"{self.name} convolution needs laws on [0, inf), got {law!r}"
             )
+
+
+def _kendall_kernel(alpha, a, b, atom, tail):
+    """(1 - w) atom(v) + w tail(2 alpha, v) at v = max(a, b), w = (min/v)^alpha.
+
+    ``a, b >= 0``; the law collapses to one part when w is 0 or 1.
+    """
+    v = max(a, b)
+    if v == 0.0:
+        return Dirac(0.0)
+    w = (min(a, b) / v) ** alpha
+    if w == 0.0:
+        return atom(v)
+    if w == 1.0:
+        return tail(2.0 * alpha, v)
+    return FiniteMixture(((1.0 - w, atom(v)), (w, tail(2.0 * alpha, v))))
 
 
 @dataclass(frozen=True)
@@ -115,20 +100,8 @@ class Kendall(Convolution):
         _check_positive("alpha", self.alpha)
 
     def kernel(self, a, b):
-        self._check_args(a, b)
-        v = max(a, b)
-        if v == 0.0:
-            return Dirac(0.0)
-        z = min(a, b) / v
-        w = z**self.alpha
-        return KernelMixture(
-            atom_weight=1.0 - w,
-            atom_location=v,
-            pareto_weight=w,
-            pareto_scale=v,
-            pareto_order=2.0 * self.alpha,
-            symmetric=False,
-        )
+        self._check_points(a, b)
+        return _kendall_kernel(self.alpha, a, b, Dirac, Pareto)
 
 
 @dataclass(frozen=True)
@@ -143,19 +116,8 @@ class WeakKendall(Convolution):
         _check_positive("alpha", self.alpha, 1.0)
 
     def kernel(self, a, b):
-        v = max(abs(a), abs(b))
-        if v == 0.0:
-            return Dirac(0.0)
-        z = min(abs(a), abs(b)) / v
-        w = z**self.alpha
-        return KernelMixture(
-            atom_weight=1.0 - w,
-            atom_location=v,
-            pareto_weight=w,
-            pareto_scale=v,
-            pareto_order=2.0 * self.alpha,
-            symmetric=True,
-        )
+        self._check_points(a, b)
+        return _kendall_kernel(self.alpha, abs(a), abs(b), symmetrized_atom, SymPareto)
 
 
 @dataclass(frozen=True)
@@ -166,7 +128,7 @@ class MaxConv(Convolution):
     real_line = False
 
     def kernel(self, a, b):
-        self._check_args(a, b)
+        self._check_points(a, b)
         return Dirac(max(a, b))
 
 
@@ -182,7 +144,7 @@ class AlphaConv(Convolution):
         _check_positive("alpha", self.alpha)
 
     def kernel(self, a, b):
-        self._check_args(a, b)
+        self._check_points(a, b)
         return Dirac((a**self.alpha + b**self.alpha) ** (1.0 / self.alpha))
 
 
@@ -194,15 +156,25 @@ class SymmetricConv(Convolution):
     real_line = False
 
     def kernel(self, a, b):
-        self._check_args(a, b)
+        self._check_points(a, b)
         hi, lo = a + b, abs(a - b)
         if hi == lo:
             return Dirac(hi)
         return FiniteMixture(((0.5, Dirac(lo)), (0.5, Dirac(hi))))
 
 
-def kernel(kind: Convolution, a: float, b: float):
-    """Law of the convolution of two point masses."""
+# Kind name -> constructor of alpha; the order keys the axiom suite's streams.
+_KINDS = {
+    "kendall": Kendall,
+    "weak_kendall": WeakKendall,
+    "max": lambda alpha: MaxConv(),
+    "alpha_conv": AlphaConv,
+    "symmetric_conv": lambda alpha: SymmetricConv(),
+}
+
+
+def kernel(kind: Convolution, a: float, b: float) -> Distribution:
+    """Law of the convolution of the point masses at ``a`` and ``b``."""
     return kind.kernel(a, b)
 
 
@@ -251,10 +223,7 @@ def kernel_sample(kind: Convolution, x, y, gen):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(np.isnan(x)) or np.any(np.isnan(y)):
-        raise SupportError(f"{kind.name} convolution got a NaN argument")
-    if not kind.real_line and (np.any(x < 0) or np.any(y < 0)):
-        raise SupportError(f"{kind.name} convolution acts on the half-line")
+    kind._check_points(x, y)
     if isinstance(kind, Kendall):
         u_q, u_t = gen.random(x.shape), gen.random(x.shape)
         return _kendall_transition(kind.alpha, x, y, u_q, u_t)[0]
@@ -280,12 +249,8 @@ def convolve_sample(kind: Convolution, law1: Distribution, law2: Distribution,
     """
     scalar = size is None
     n = 1 if scalar else int(size)
-    if not kind.real_line:
-        for law in (law1, law2):
-            if law.support[0] < 0:
-                raise SupportError(
-                    f"{kind.name} convolution needs laws on [0, inf), got {law!r}"
-                )
+    kind._check_law(law1)
+    kind._check_law(law2)
     x = np.atleast_1d(law1.sample(rng, n))
     y = np.atleast_1d(law2.sample(rng, n))
     out = kernel_sample(kind, x, y, rng.generator)
@@ -309,45 +274,15 @@ def convolve_atomic(kind: Convolution, law1: Distribution, law2: Distribution) -
     parts = []
     for a, wa in atoms1:
         for b, wb in atoms2:
-            k = kernel(kind, a, b)
-            law = k.law() if isinstance(k, KernelMixture) else k
-            parts.append((wa * wb, law))
+            parts.append((wa * wb, kernel(kind, a, b)))
     if len(parts) == 1:
         return parts[0][1]
     return FiniteMixture(tuple(parts))
 
 
-def scale(obj, c: float):
-    """Scaling operator T_c on a law or kernel mixture; c = 0 yields delta_0."""
-    if isinstance(obj, KernelMixture):
-        if c == 0:
-            return Dirac(0.0)
-        if obj.symmetric or c > 0:
-            return KernelMixture(
-                atom_weight=obj.atom_weight,
-                atom_location=obj.atom_location * abs(c) if obj.symmetric else obj.atom_location * c,
-                pareto_weight=obj.pareto_weight,
-                pareto_scale=obj.pareto_scale * abs(c),
-                pareto_order=obj.pareto_order,
-                symmetric=obj.symmetric,
-            )
-        return scale_law(obj.law(), c)
-    if isinstance(obj, Distribution):
-        return scale_law(obj, c)
-    raise ParameterError(f"cannot scale {obj!r}")
-
-
 def parse_convolution(name: str, alpha: float) -> Convolution:
     """Construct a convolution kind from its CLI name."""
     key = name.strip().lower().replace("-", "_")
-    if key == "kendall":
-        return Kendall(alpha)
-    if key == "weak_kendall":
-        return WeakKendall(alpha)
-    if key == "max":
-        return MaxConv()
-    if key == "alpha_conv":
-        return AlphaConv(alpha)
-    if key == "symmetric_conv":
-        return SymmetricConv()
-    raise ParameterError(f"unknown convolution kind {name!r}")
+    if key not in _KINDS:
+        raise ParameterError(f"unknown convolution kind {name!r}")
+    return _KINDS[key](alpha)

@@ -143,6 +143,19 @@ def _check_positive(name, value, upper=math.inf):
         raise ParameterError(f"{name} must be {domain}, got {value!r}")
 
 
+def _check_int(name, value, least=None):
+    """Return ``value`` as an int; raise ParameterError unless it is an
+    integer (NaN, inf and non-numbers are not) that is at least ``least``."""
+    try:
+        ok = int(value) == value and (least is None or value >= least)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        domain = "an integer" if least is None else f"an integer >= {least}"
+        raise ParameterError(f"{name} must be {domain}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Dirac(Distribution):
     """Unit mass at ``location``."""

@@ -28,6 +28,7 @@ from scipy import integrate
 
 from . import closedforms
 from .convolution import (
+    _KINDS,
     Convolution,
     convolve_sample,
     kernel,
@@ -45,6 +46,7 @@ from .measures import (
     RngStream,
     SymPareto,
     Uniform01,
+    _check_int,
     sample_mu_alpha,
     scale_law,
     symmetrized_atom,
@@ -76,7 +78,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-CONVOLUTION_KINDS = ("kendall", "weak_kendall", "max", "alpha_conv", "symmetric_conv")
+CONVOLUTION_KINDS = tuple(_KINDS)
 
 # asymptotic 1% one-sample KS critical coefficient: D_crit = KS_COEFF / sqrt(N)
 KS_COEFF = 1.63
@@ -249,8 +251,7 @@ class EnvelopeSpec:
     def __post_init__(self):
         if not (0.0 < self.kappa <= 2.0):
             raise ParameterError(f"kappa must lie in (0, 2], got {self.kappa!r}")
-        if self.n0 < 1 or int(self.n0) != self.n0:
-            raise ParameterError(f"n0 must be a positive integer, got {self.n0!r}")
+        object.__setattr__(self, "n0", _check_int("n0", self.n0, 1))
 
 
 @dataclass(frozen=True)
@@ -265,8 +266,7 @@ class PowerLawEnvelope:
     def __post_init__(self):
         if not (self.r > 0.5):
             raise ParameterError(f"r must exceed 1/2, got {self.r!r}")
-        if self.n0 < 2 or int(self.n0) != self.n0:
-            raise ParameterError(f"n0 must be an integer >= 2, got {self.n0!r}")
+        object.__setattr__(self, "n0", _check_int("n0", self.n0, 2))
 
 
 def _binomial_band(p: float, m: int) -> float:
@@ -494,9 +494,7 @@ def _merged(config) -> dict:
         cfg.update(config)
     for key in ("seed", "samples", "paths", "horizon", "envelope_paths",
                 "envelope_horizon"):
-        if int(cfg[key]) != cfg[key] or cfg[key] < 1:
-            raise ParameterError(f"config {key!r} must be a positive integer")
-        cfg[key] = int(cfg[key])
+        cfg[key] = _check_int(f"config {key!r}", cfg[key], 1)
     return cfg
 
 

@@ -54,7 +54,7 @@ from .convolution import (
     _weak_transition,
     parse_convolution,
 )
-from .errors import ParameterError, ResourceError, SupportError
+from .errors import ParameterError, ResourceError
 from .measures import (
     Beta,
     Dirac,
@@ -67,6 +67,7 @@ from .measures import (
     Scaled,
     SymPareto,
     Uniform01,
+    _check_int,
     mu1_ppf,
     mu1_to_mu_alpha,
     philox_key,
@@ -138,21 +139,13 @@ class WalkConfig:
                 f"convolution must be 'kendall' or 'weak_kendall', got {self.convolution!r}"
             )
         object.__setattr__(self, "convolution", kind.name)
-        if self.horizon < 1 or int(self.horizon) != self.horizon:
-            raise ParameterError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if self.paths < 1 or int(self.paths) != self.paths:
-            raise ParameterError(f"paths must be a positive integer, got {self.paths!r}")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "paths", int(self.paths))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "horizon", _check_int("horizon", self.horizon, 1))
+        object.__setattr__(self, "paths", _check_int("paths", self.paths, 1))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed))
         if not isinstance(self.unit_step, Distribution):
             raise ParameterError(f"unit_step must be a Distribution, got {self.unit_step!r}")
         _quantile_draws(self.unit_step)
-        if not kind.real_line and self.unit_step.support[0] < 0:
-            raise SupportError(
-                "kendall walks need a step law on [0, inf); "
-                f"got support starting at {self.unit_step.support[0]}"
-            )
+        kind._check_law(self.unit_step)
 
 
 @dataclass(frozen=True, eq=False)

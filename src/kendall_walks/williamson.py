@@ -22,7 +22,7 @@ import logging
 import numpy as np
 
 from .errors import ParameterError, SupportError, TransformError
-from .measures import Distribution, _check_positive
+from .measures import Distribution, _check_int, _check_positive
 
 logger = logging.getLogger(__name__)
 
@@ -89,9 +89,7 @@ def nstep_cdf(law: Distribution, alpha: float, n: int, x, left: bool = False):
     """
     _check_positive("alpha", alpha)
     _check_half_line(law)
-    if n < 1 or int(n) != n:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_int("n", n, 1)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -119,9 +117,7 @@ def nstep_pdf(law: Distribution, alpha: float, n: int, x):
     """
     _check_positive("alpha", alpha)
     _check_half_line(law)
-    if n < 1 or int(n) != n:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_int("n", n, 1)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)

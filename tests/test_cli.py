@@ -194,6 +194,10 @@ def test_usage_errors_exit_two(tmp_path):
     out = tmp_path / "w.csv"
     assert run(["simulate", "--conv", "weak-kendall", "--alpha", "1.5",
                 "--paths", "5", "--out", str(out)]) == 2
+    # a non-finite size in a verify config is a usage error, not a failed check
+    config = tmp_path / "inf.json"
+    config.write_text(json.dumps({"samples": float("inf")}))
+    assert run(["verify", "--suite", "ks", "--config", str(config)]) == 2
 
 
 def test_help_exits_zero(capsys):

@@ -309,6 +309,27 @@ def test_parameter_validation():
         envelope_prob(10, 0.5)
     with pytest.raises(ParameterError):
         envelope_prob(0, 1.0)
+    # integer arguments: NaN, inf and non-integral values are rejected
+    for bad in (np.nan, np.inf, 2.5, "3"):
+        with pytest.raises(ParameterError):
+            nstep_delta1_cdf(bad, 1.0, 2.0)
+        with pytest.raises(ParameterError):
+            envelope_prob(bad, 1.0)
+        with pytest.raises(ParameterError):
+            nstep_cdf(Beta(2.0, 3.0), 1.0, bad, 0.5)
+    with pytest.raises(ParameterError):
+        envelope_prob(np.array([10.0, np.inf]), 1.0)
+    with pytest.raises(ParameterError):
+        atom_prob(np.inf)
+    # alpha is not a parameter of the envelope probability
+    with pytest.raises(TypeError):
+        envelope_prob(10, 1.0, 1.0)
+    # law parameters of the Beta and Gamma oracles: positive and finite
+    for a, b in ((np.nan, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ParameterError):
+            nstep_beta_cdf(2, 1.0, a, b, 0.5)
+        with pytest.raises(ParameterError):
+            nstep_gamma_cdf(2, 1.0, a, b, 0.5)
     with pytest.raises(ParameterError):
         transience_sum(1.0, -2.0)
     with pytest.raises(ParameterError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from kendall_walks import (
     AlphaConv,
     Dirac,
+    Distribution,
     FiniteMixture,
     Kendall,
     MaxConv,
@@ -27,7 +28,7 @@ from kendall_walks import (
     nstep_delta1_cdf,
     parse_convolution,
     phi,
-    scale,
+    scale_law,
 )
 from kendall_walks.convolution import _weak_transition
 from kendall_walks.verify import KS_COEFF
@@ -40,26 +41,40 @@ def _band(n):
     return 3.0 * KS_COEFF / np.sqrt(n)
 
 
+def _kendall_parts(law):
+    """(atom weight, atom location, tail weight, tail scale, tail order) of
+    a Kendall kernel law with a tail part."""
+    if isinstance(law, Pareto):
+        return 0.0, law.scale, 1.0, law.scale, law.order
+    (w_atom, atom), (w_tail, tail) = law.components
+    assert isinstance(atom, Dirac) and isinstance(tail, Pareto)
+    return w_atom, atom.location, w_tail, tail.scale, tail.order
+
+
 def test_kendall_kernel_structure():
     km = kernel(Kendall(1.0), 1.0, 2.0)
-    assert km.atom_weight == 0.5
-    assert km.atom_location == 2.0
-    assert km.pareto_weight == 0.5
-    assert km.pareto_scale == 2.0
-    assert km.pareto_order == 2.0
-    assert km.symmetric is False
-    half = kernel(Kendall(0.5), 1.0, 2.0)
+    atom_weight, atom_location, pareto_weight, pareto_scale, pareto_order = (
+        _kendall_parts(km)
+    )
+    assert atom_weight == 0.5
+    assert atom_location == 2.0
+    assert pareto_weight == 0.5
+    assert pareto_scale == 2.0
+    assert pareto_order == 2.0
+    half = _kendall_parts(kernel(Kendall(0.5), 1.0, 2.0))
     z = (0.5) ** 0.5
-    assert abs(half.atom_weight - (1 - z)) < 1e-15
-    assert abs(half.pareto_weight - z) < 1e-15
-    assert half.pareto_order == 1.0
+    assert abs(half[0] - (1 - z)) < 1e-15
+    assert abs(half[2] - z) < 1e-15
+    assert half[4] == 1.0
 
 
 def test_kernel_equal_atoms_always_switch():
     km = kernel(Kendall(1.0), 3.0, 3.0)
-    assert km.atom_weight == 0.0
-    assert km.pareto_weight == 1.0
-    assert km.pareto_scale == 3.0
+    assert km == Pareto(2.0, scale=3.0)
+    atom_weight, _, pareto_weight, pareto_scale, _ = _kendall_parts(km)
+    assert atom_weight == 0.0
+    assert pareto_weight == 1.0
+    assert pareto_scale == 3.0
 
 
 def test_kernel_zero_inputs_degenerate():
@@ -79,16 +94,16 @@ def test_kernel_commutes(a, b, alpha):
 @given(a=locs, b=locs, c=st.floats(min_value=0.1, max_value=10.0), alpha=alphas)
 @settings(max_examples=40, deadline=None)
 def test_kernel_scale_equivariance(a, b, c, alpha):
-    km = scale(kernel(Kendall(alpha), a, b), c)
-    want = kernel(Kendall(alpha), c * a, c * b)
-    assert abs(km.atom_weight - want.atom_weight) < 1e-12
-    assert abs(km.atom_location - want.atom_location) < 1e-9
-    assert abs(km.pareto_scale - want.pareto_scale) < 1e-9
-    assert km.pareto_order == want.pareto_order
+    km = _kendall_parts(scale_law(kernel(Kendall(alpha), a, b), c))
+    want = _kendall_parts(kernel(Kendall(alpha), c * a, c * b))
+    assert abs(km[0] - want[0]) < 1e-12
+    assert abs(km[1] - want[1]) < 1e-9
+    assert abs(km[3] - want[3]) < 1e-9
+    assert km[4] == want[4]
 
 
 def test_kernel_law_mixes_atom_and_tail():
-    law = kernel(Kendall(1.0), 1.0, 2.0).law()
+    law = kernel(Kendall(1.0), 1.0, 2.0)
     assert law.atoms() == ((2.0, 0.5),)
     xs = np.array([1.5, 2.0, 3.0, 8.0])
     want = 0.5 * (xs >= 2.0) + 0.5 * Pareto(2.0, scale=2.0).cdf(xs)
@@ -168,6 +183,33 @@ def test_kernel_sample_rejects_nan(kind):
         kernel_sample(kind, np.array([1.0, np.nan]), np.array([1.0, 2.0]), gen)
     with pytest.raises(SupportError):
         kernel_sample(kind, np.array([1.0]), np.array([np.nan]), gen)
+    with pytest.raises(SupportError):
+        kernel(kind, 2.0, np.nan)
+    with pytest.raises(SupportError):
+        kernel(kind, np.nan, 2.0)
+
+
+@pytest.mark.parametrize(
+    "kind, a, b",
+    [
+        (Kendall(0.7), 1.0, 2.5),
+        (Kendall(1.3), 2.0, 2.0),
+        (WeakKendall(1.0), 1.0, -2.0),
+        (WeakKendall(0.6), -1.5, 1.5),
+        (MaxConv(), 1.0, 3.0),
+        (AlphaConv(2.0), 1.0, 2.0),
+        (SymmetricConv(), 1.0, 2.5),
+        (SymmetricConv(), 2.0, 2.0),
+    ],
+)
+def test_kernel_law_matches_sampler(kind, a, b):
+    # one return type for every kind, and the sampler draws from that law
+    law = kernel(kind, a, b)
+    assert isinstance(law, Distribution)
+    n = 40000
+    gen = RngStream(11, 0).generator
+    vals = kernel_sample(kind, np.full(n, a), np.full(n, b), gen)
+    assert ks_statistic(vals, law.cdf, atoms=law.atoms()) <= _band(n)
 
 
 def test_convolve_sample_two_unit_steps():
@@ -181,7 +223,7 @@ def test_convolve_sample_atomic_mixture_target():
     rng = RngStream(9, 0)
     n = 100000
     vals = convolve_sample(Kendall(1.0), Dirac(1.0), Dirac(2.0), rng, size=n)
-    law = kernel(Kendall(1.0), 1.0, 2.0).law()
+    law = kernel(Kendall(1.0), 1.0, 2.0)
     assert ks_statistic(vals, law.cdf, atoms=law.atoms()) <= _band(n)
 
 

@@ -97,6 +97,11 @@ def test_envelope_spec_validation():
         PowerLawEnvelope(r=0.5)
     with pytest.raises(ParameterError):
         PowerLawEnvelope(r=1.0, n0=1)
+    for bad in (float("inf"), float("nan"), 10.5):
+        with pytest.raises(ParameterError):
+            EnvelopeSpec(one, one, one, one, kappa=1.0, n0=bad)
+        with pytest.raises(ParameterError):
+            PowerLawEnvelope(r=1.0, n0=bad)
 
 
 def test_envelope_check_power_law_passes():
@@ -189,6 +194,9 @@ def test_run_verification_config_handling():
         run_verification("ks", {"not_a_key": 1})
     with pytest.raises(ParameterError):
         run_verification("ks", {"samples": -5})
+    for bad in (float("inf"), float("nan"), 2.5, "100", None):
+        with pytest.raises(ParameterError):
+            run_verification("ks", {"samples": bad})
     # the suites fix their own tail indices; alpha is not a config key
     with pytest.raises(ParameterError):
         run_verification("ks", {"alpha": 0.3})
