@@ -56,7 +56,16 @@ __all__ = ["parse_dist", "format_dist", "build_parser", "run", "main"]
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _WORD = re.compile(r"[a-z][a-z0-9_]*")
 
-_SIMPLE_KINDS = ("dirac", "pareto", "sympareto", "beta", "gamma", "uniform", "mu")
+# kind -> (law class, the constructor fields that follow ":" and then ",")
+_SIMPLE_LAWS = {
+    "dirac": (Dirac, ("location",)),
+    "pareto": (Pareto, ("order",)),
+    "sympareto": (SymPareto, ("order",)),
+    "beta": (Beta, ("a", "b")),
+    "gamma": (Gamma, ("shape", "rate")),
+    "uniform": (Uniform01, ()),
+    "mu": (MuAlpha, ("alpha",)),
+}
 
 
 def _read_number(text: str, pos: int):
@@ -77,28 +86,17 @@ def _parse_simple(text: str, pos: int):
     if m is None:
         raise DistSpecError(text, pos, "a distribution kind")
     kind = m.group()
-    end = m.end()
-    if kind == "uniform":
-        return Uniform01(), end
-    if kind == "dirac":
-        a, end = _read_number(text, _expect(text, end, ":"))
-        return Dirac(a), end
-    if kind == "pareto":
-        s, end = _read_number(text, _expect(text, end, ":"))
-        return Pareto(s), end
-    if kind == "sympareto":
-        s, end = _read_number(text, _expect(text, end, ":"))
-        return SymPareto(s), end
-    if kind == "mu":
-        a, end = _read_number(text, _expect(text, end, ":"))
-        return MuAlpha(a), end
-    if kind in ("beta", "gamma"):
-        a, end = _read_number(text, _expect(text, end, ":"))
-        b, end = _read_number(text, _expect(text, end, ","))
-        return (Beta(a, b) if kind == "beta" else Gamma(a, b)), end
     if kind == "mix":
         raise DistSpecError(text, m.start(), "a non-mixture component")
-    raise DistSpecError(text, m.start(), f"one of {'/'.join(_SIMPLE_KINDS)}")
+    if kind not in _SIMPLE_LAWS:
+        raise DistSpecError(text, m.start(), f"one of {'/'.join(_SIMPLE_LAWS)}")
+    cls, fields = _SIMPLE_LAWS[kind]
+    values = []
+    end = m.end()
+    for sep in ":,"[: len(fields)]:
+        value, end = _read_number(text, _expect(text, end, sep))
+        values.append(value)
+    return cls(*values), end
 
 
 def parse_dist(text: str) -> Distribution:
@@ -132,24 +130,13 @@ def parse_dist(text: str) -> Distribution:
 
 
 def _format_simple(law: Distribution) -> str:
-    if isinstance(law, Dirac):
-        return f"dirac:{float(law.location)!r}"
-    if isinstance(law, Pareto):
-        if law.scale != 1.0:
-            raise DistSpecError(repr(law), 0, "a unit-scale pareto law")
-        return f"pareto:{float(law.order)!r}"
-    if isinstance(law, SymPareto):
-        if law.scale != 1.0:
-            raise DistSpecError(repr(law), 0, "a unit-scale sympareto law")
-        return f"sympareto:{float(law.order)!r}"
-    if isinstance(law, Beta):
-        return f"beta:{float(law.a)!r},{float(law.b)!r}"
-    if isinstance(law, Gamma):
-        return f"gamma:{float(law.shape)!r},{float(law.rate)!r}"
-    if isinstance(law, Uniform01):
-        return "uniform"
-    if isinstance(law, MuAlpha):
-        return f"mu:{float(law.alpha)!r}"
+    # a law whose spec fields do not rebuild it (a non-unit pareto scale,
+    # say) has no spec
+    for kind, (cls, fields) in _SIMPLE_LAWS.items():
+        if type(law) is cls:
+            values = [float(getattr(law, f)) for f in fields]
+            if cls(*values) == law:
+                return kind + "".join(f"{sep}{v!r}" for sep, v in zip(":,", values))
     raise DistSpecError(repr(law), 0, "a law expressible in the spec grammar")
 
 
@@ -162,24 +149,21 @@ def format_dist(law: Distribution) -> str:
     return _format_simple(law)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(least: int):
+    """argparse type: an integer that is at least ``least``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {value}"
+            )
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -334,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="tail index (weak-kendall needs alpha <= 1)")
     sim.add_argument("--step", type=_dist, default="dirac:1",
                      help="step law spec, e.g. dirac:1 or mix:0.5*dirac:1+0.5*pareto:2")
-    sim.add_argument("--n", type=_positive_int, default=10, help="horizon")
-    sim.add_argument("--paths", type=_positive_int, default=100)
-    sim.add_argument("--seed", type=_nonneg_int, default=0)
+    sim.add_argument("--n", type=_int_at_least(1), default=10, help="horizon")
+    sim.add_argument("--paths", type=_int_at_least(1), default=100)
+    sim.add_argument("--seed", type=_int_at_least(0), default=0)
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=_cmd_simulate)
 
     nst = sub.add_parser("nstep", help="exact n-step CDF/pdf table to CSV")
     nst.add_argument("--step", type=_dist, default="dirac:1")
     nst.add_argument("--alpha", type=_positive_float, default=1.0)
-    nst.add_argument("--n", type=_positive_int, default=2)
+    nst.add_argument("--n", type=_int_at_least(1), default=2)
     nst.add_argument("--grid", type=_grid, required=True, help="lo:hi:count")
     nst.add_argument("--out", required=True)
     nst.set_defaults(func=_cmd_nstep)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import ParameterError
-from .measures import _check_int, _check_positive
+from .measures import _as_array, _check_int, _check_positive, _ret
 
 __all__ = [
     "nstep_delta1_cdf",
@@ -40,20 +40,11 @@ __all__ = [
 ]
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(out, scalar):
-    return float(out) if scalar else out
-
-
 def nstep_delta1_cdf(n: int, alpha: float, x):
     """CDF of the n-step unit-atom walk: (1 + (n-1) y)(1 - y)_+^(n-1), y = x^(-alpha)."""
     n = _check_int("n", n, 1)
     _check_positive("alpha", alpha)
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _as_array(x)
     safe = np.maximum(arr, 1.0)
     y = safe**-alpha
     val = (1.0 + (n - 1) * y) * (1.0 - y) ** (n - 1)
@@ -64,7 +55,7 @@ def nstep_delta1_pdf(n: int, alpha: float, x):
     """Density of the n-step unit-atom walk (n >= 2, support [1, inf))."""
     n = _check_int("n", n, 2)
     _check_positive("alpha", alpha)
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _as_array(x)
     safe = np.maximum(arr, 1.0)
     y = safe**-alpha
     val = alpha * n * (n - 1) * safe ** (-2.0 * alpha - 1.0) * (1.0 - y) ** (n - 2)
@@ -80,7 +71,7 @@ def nstep_uniform_cdf(n: int, alpha: float, x):
     """
     n = _check_int("n", n, 2)
     _check_positive("alpha", alpha)
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _as_array(x)
     lo = np.clip(arr, 0.0, 1.0)
     left = (alpha / (alpha + 1.0)) ** n * (1.0 + n / alpha) * lo**n
     safe = np.maximum(arr, 1.0)
@@ -103,7 +94,7 @@ def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
     _check_positive("alpha", alpha)
     _check_positive("a", a)
     _check_positive("b", b)
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _as_array(x)
     clipped = np.clip(arr, 0.0, 1.0)
     coeff = math.exp(
         special.gammaln(a + alpha)
@@ -122,7 +113,7 @@ def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
     _check_positive("alpha", alpha)
     _check_positive("a", a)
     _check_positive("b", b)
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _as_array(x)
     pos = np.maximum(arr, 0.0)
     coeff = math.exp(special.gammaln(a + alpha) - special.gammaln(a)) / b**alpha
     cdf_vals = special.gammainc(a, b * pos)
@@ -132,7 +123,7 @@ def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
 
 def sym_nstep_pdf(n: int, alpha: float, x):
     """Density of the n-step weak walk with symmetrized unit-atom steps."""
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _as_array(x)
     return _ret(0.5 * np.asarray(nstep_delta1_pdf(n, alpha, np.abs(arr))), scalar)
 
 
@@ -144,6 +135,8 @@ def increment_cdf(k: int, w: float) -> float:
     value at zero).
     """
     k = _check_int("k", k, 2)
+    if math.isnan(w):
+        raise ParameterError(f"w must not be NaN, got {w!r}")
     if w <= 0:
         return (k - 1.0) / (k + 1.0)
     lnorm = special.betaln(3.0, k - 1.0)
@@ -164,8 +157,8 @@ def joint_density(k: int, u, v):
     to total mass 1; the walk puts weight 2/(k+1) on this component.
     """
     k = _check_int("k", k, 2)
-    u_arr, u_scalar = _as_float_array(u)
-    v_arr, v_scalar = _as_float_array(v)
+    u_arr, u_scalar = _as_array(u)
+    v_arr, v_scalar = _as_array(v)
     u_safe = np.maximum(u_arr, 1.0)
     val = (
         (k + 1.0)
@@ -193,6 +186,8 @@ def increment_joint_prob(k: int, w: float, z: float) -> float:
     {1 <= u <= z, u <= v <= u + w}.
     """
     k = _check_int("k", k, 2)
+    if math.isnan(w) or math.isnan(z):
+        raise ParameterError(f"w and z must not be NaN, got w={w!r}, z={z!r}")
     if w < 0 or z < 1:
         return 0.0
     stay = (k - 1.0) / (k + 1.0) * (1.0 - special.betainc(2.0, k, min(1.0 / z, 1.0)))
@@ -229,7 +224,7 @@ def mixture_power_pdf(n: int, alpha: float, x):
     """
     n = _check_int("n", n, 2)
     _check_positive("alpha", alpha, 1.0)
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _as_array(x)
     ax = np.maximum(np.abs(arr), 1.0)
     y = ax**-alpha
     val = (
@@ -292,7 +287,7 @@ def mu1_nfold_pdf(n: int, x):
             g_prev2, g_prev1 = g_prev1, g_m
         return g_prev1
 
-    arr, scalar = _as_float_array(x)
+    arr, scalar = _as_array(x)
     out = np.vectorize(one)(arr)
     return _ret(out, scalar)
 
@@ -310,8 +305,8 @@ def mu1_nfold_pdf_quadrature(n: int, x: float) -> float:
 def transience_sum(alpha: float, x):
     """sum_{n >= 1} F_n(x) for the unit-atom walk: x^alpha (2 - x^(-alpha)) on x >= 1."""
     _check_positive("alpha", alpha)
-    arr, scalar = _as_float_array(x)
-    if np.any(arr < 0):
+    arr, scalar = _as_array(x)
+    if not np.all(arr >= 0):
         raise ParameterError(f"threshold x must be nonnegative, got {x!r}")
     safe = np.maximum(arr, 1.0)
     out = np.where(arr >= 1.0, safe**alpha * (2.0 - safe**-alpha), 0.0)
@@ -327,8 +322,11 @@ def transience_partial_sum(alpha: float, x: float, n_max: int | None = None,
     the bound drops below ``tol``.
     """
     _check_positive("alpha", alpha)
-    if x < 0:
+    _check_positive("tol", tol)
+    if not x >= 0:
         raise ParameterError(f"threshold x must be nonnegative, got {x!r}")
+    if n_max is not None:
+        n_max = _check_int("n_max", n_max, 0)
     if x < 1.0:
         return 0.0, 0.0
     y = float(x) ** -alpha
@@ -343,7 +341,6 @@ def transience_partial_sum(alpha: float, x: float, n_max: int | None = None,
         n_max = 1
         while bound(n_max) > tol and n_max < 10_000_000:
             n_max *= 2
-    n_max = int(n_max)
     ns = np.arange(1, n_max + 1, dtype=float)
     terms = (1.0 + (ns - 1.0) * y) * q ** (ns - 1.0)
     return float(math.fsum(terms)), float(bound(n_max))
@@ -376,9 +373,7 @@ def envelope_prob(n, r: float):
         raise ParameterError(f"r must exceed 1/2, got {r!r}")
     for v in np.ravel(n):
         _check_int("n", v, 1)
-    arr = np.asarray(n, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _as_array(n, ndmin=1)
     q = np.log(arr) * arr ** (-r - 1.0)
     small = q < 1.0
     q_safe = np.where(small, np.minimum(q, 1.0 - 1e-16), 0.0)
@@ -386,7 +381,7 @@ def envelope_prob(n, r: float):
     val = -np.expm1(m * _log1p_minus_x(-q_safe) + _log1p_minus_x(m * q_safe))
     out = np.where(small, val, 1.0)
     out = np.where(arr == 1.0, 0.0, out)
-    return _ret(out[0] if scalar else out, scalar)
+    return _ret(out, scalar)
 
 
 CLOSED_FORMS = {

@@ -66,10 +66,8 @@ class Convolution:
 
     def _check_law(self, law: Distribution):
         """Reject a law with mass below 0 for a half-line kind."""
-        if not self.real_line and law.support[0] < 0:
-            raise SupportError(
-                f"{self.name} convolution needs laws on [0, inf), got {law!r}"
-            )
+        if not self.real_line:
+            law._require_half_line()
 
 
 def _kendall_kernel(alpha, a, b, atom, tail):

@@ -68,13 +68,17 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _as_array(x):
+def _as_array(x, ndmin=0):
+    """``x`` as a float array of at least ``ndmin`` dimensions, and whether
+    ``x`` is a scalar.  With ``ndmin=1`` a scalar is evaluated as a
+    one-element array: numpy's vectorized ``pow`` can differ from the 0-d
+    one in the last place, and this keeps scalar and array results equal."""
     arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+    return (np.atleast_1d(arr) if ndmin else arr), arr.ndim == 0
 
 
 def _ret(arr, scalar):
-    return float(arr) if scalar else arr
+    return float(np.reshape(arr, -1)[0]) if scalar else arr
 
 
 class Distribution:
@@ -118,22 +122,20 @@ class Distribution:
 
     def truncated_alpha_moment(self, x, alpha: float):
         """``int_{[0, x]} s^alpha nu(ds)`` for laws carried by [0, inf)."""
+        self._require_half_line()
         raise NotImplementedError
 
     def abs_law(self) -> "Distribution":
         """Law of |X|."""
-        lo, _ = self.support
-        if lo >= 0.0:
-            return self
-        raise SupportError(f"abs_law not available for {self!r}")
+        self._require_half_line()
+        return self
 
     def _require_half_line(self):
+        """Raise SupportError unless the law is carried by [0, inf), the
+        domain of the Kendall convolution and the Williamson transform."""
         lo, _ = self.support
         if lo < 0.0:
-            raise SupportError(
-                f"law {self!r} is not carried by [0, inf); "
-                "apply abs_law() or pass a half-line law"
-            )
+            raise SupportError(f"law {self!r} is not carried by [0, inf)")
 
 
 def _check_positive(name, value, upper=math.inf):
@@ -191,8 +193,7 @@ class Dirac(Distribution):
         return _ret(np.full_like(arr, self.location), scalar)
 
     def truncated_alpha_moment(self, x, alpha):
-        if self.location < 0:
-            self._require_half_line()
+        self._require_half_line()
         arr, scalar = _as_array(x)
         val = self.location**alpha
         return _ret(np.where(arr >= self.location, val, 0.0), scalar)
@@ -282,10 +283,6 @@ class SymPareto(Distribution):
             y >= 1.0, (self.order / (2.0 * self.scale)) * y ** (-self.order - 1.0), 0.0
         )
         return _ret(out, scalar)
-
-    def truncated_alpha_moment(self, x, alpha):
-        self._require_half_line()
-        raise AssertionError("unreachable")
 
     def abs_law(self):
         return Pareto(self.order, self.scale)
@@ -595,10 +592,6 @@ class MuAlpha(Distribution):
 
         out = np.vectorize(one)(arr)
         return _ret(np.maximum(out, 0.0), scalar)
-
-    def truncated_alpha_moment(self, x, alpha):
-        self._require_half_line()
-        raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)

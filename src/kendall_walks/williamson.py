@@ -13,6 +13,11 @@ inverts to the n-step CDF of the walk driven by ``nu``:
 The derivative needed for the main inversion path is analytic
 (``Phi'(t) = -alpha t^(alpha-1) M(1/t)``); central differences with one
 Richardson step are used only for black-box transforms.
+
+The half-line requirement is the law's own rule,
+``Distribution._require_half_line``, shared with the Kendall
+convolution.  A scalar argument is evaluated as a one-element array, so
+scalar and array calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,29 +26,19 @@ import logging
 
 import numpy as np
 
-from .errors import ParameterError, SupportError, TransformError
-from .measures import Distribution, _check_int, _check_positive
+from .errors import ParameterError, TransformError
+from .measures import Distribution, _as_array, _check_int, _check_positive, _ret
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["phi", "phi_prime", "nstep_cdf", "nstep_pdf", "invert_transform"]
 
 
-def _check_half_line(law: Distribution):
-    lo, _ = law.support
-    if lo < 0:
-        raise SupportError(
-            f"transform requires a law on [0, inf), got support starting at {lo}"
-        )
-
-
 def phi(law: Distribution, alpha: float, t):
     """Evaluate ``Phi_nu(t)`` for ``t >= 0`` (vectorized in t)."""
     _check_positive("alpha", alpha)
-    _check_half_line(law)
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    law._require_half_line()
+    arr, scalar = _as_array(t, ndmin=1)
     if np.any(arr < 0):
         raise ParameterError("phi is defined for t >= 0")
     pos = arr > 0
@@ -55,23 +50,20 @@ def phi(law: Distribution, alpha: float, t):
         law.truncated_alpha_moment(inv, alpha), dtype=float
     )
     out = np.where(pos, out, 1.0)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
 def phi_prime(law: Distribution, alpha: float, t):
     """Analytic derivative ``Phi'(t) = -alpha t^(alpha-1) M(1/t)``, t > 0."""
     _check_positive("alpha", alpha)
-    _check_half_line(law)
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    law._require_half_line()
+    arr, scalar = _as_array(t, ndmin=1)
     if np.any(arr <= 0):
         raise ParameterError("phi_prime is defined for t > 0")
     out = -alpha * arr ** (alpha - 1.0) * np.asarray(
         law.truncated_alpha_moment(1.0 / arr, alpha), dtype=float
     )
-    return float(out[0]) if scalar else out
+    return _ret(out, scalar)
 
 
 def _clip_unit(values, what):
@@ -81,30 +73,33 @@ def _clip_unit(values, what):
     return np.clip(values, 0.0, 1.0)
 
 
+def _nstep_parts(law: Distribution, alpha: float, n: int, x):
+    """Checked ``n``, the scalar flag, the mask x > 0, x with the other
+    entries set to 1, ``Phi(1/x)`` and ``M(x)``: the common opening of
+    ``nstep_cdf`` and ``nstep_pdf``."""
+    _check_positive("alpha", alpha)
+    law._require_half_line()
+    n = _check_int("n", n, 1)
+    arr, scalar = _as_array(x, ndmin=1)
+    pos = arr > 0
+    safe = np.where(pos, arr, 1.0)
+    ph = np.asarray(phi(law, alpha, 1.0 / safe), dtype=float)
+    m = np.asarray(law.truncated_alpha_moment(safe, alpha), dtype=float)
+    return n, scalar, pos, safe, ph, m
+
+
 def nstep_cdf(law: Distribution, alpha: float, n: int, x, left: bool = False):
     """CDF of the n-step walk marginal driven by ``law`` (right continuous).
 
     With ``left=True`` returns the left limit instead, which differs only
     at atoms of the n-step law.
     """
-    _check_positive("alpha", alpha)
-    _check_half_line(law)
-    n = _check_int("n", n, 1)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    pos = arr > 0
-    safe = np.where(pos, arr, 1.0)
-    ph = np.asarray(phi(law, alpha, 1.0 / safe), dtype=float)
-    m = np.asarray(law.truncated_alpha_moment(safe, alpha), dtype=float)
+    n, scalar, pos, safe, ph, m = _nstep_parts(law, alpha, n, x)
     if left:
-        atom_locs = law.atoms()
-        for loc, w in atom_locs:
+        for loc, w in law.atoms():
             m = np.where(safe == loc, m - loc**alpha * w, m)
     out = ph**n + n * ph ** (n - 1) * safe**-alpha * m
-    out = np.where(pos, out, 0.0)
-    out = _clip_unit(out, "nstep_cdf")
-    return float(out[0]) if scalar else out
+    return _ret(_clip_unit(np.where(pos, out, 0.0), "nstep_cdf"), scalar)
 
 
 def nstep_pdf(law: Distribution, alpha: float, n: int, x):
@@ -115,23 +110,13 @@ def nstep_pdf(law: Distribution, alpha: float, n: int, x):
         f_n(x) = alpha n (n-1) Phi^(n-2)(1/x) x^(-2 alpha - 1) M(x)^2
                  + n Phi^(n-1)(1/x) * pdf_nu(x).
     """
-    _check_positive("alpha", alpha)
-    _check_half_line(law)
-    n = _check_int("n", n, 1)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    pos = arr > 0
-    safe = np.where(pos, arr, 1.0)
-    ph = np.asarray(phi(law, alpha, 1.0 / safe), dtype=float)
-    m = np.asarray(law.truncated_alpha_moment(safe, alpha), dtype=float)
+    n, scalar, pos, safe, ph, m = _nstep_parts(law, alpha, n, x)
     base = np.asarray(law.pdf(safe), dtype=float)
     first = 0.0
     if n >= 2:
         first = alpha * n * (n - 1) * ph ** (n - 2) * safe ** (-2 * alpha - 1.0) * m**2
     out = first + n * ph ** (n - 1) * base
-    out = np.where(pos, out, 0.0)
-    return float(out[0]) if scalar else out
+    return _ret(np.where(pos, out, 0.0), scalar)
 
 
 def _probe_transform(phi_fn, n_points: int = 49):
@@ -164,8 +149,7 @@ def invert_transform(phi_fn, alpha: float, x, dphi=None, probe: bool = True):
     _check_positive("alpha", alpha)
     if probe:
         _probe_transform(phi_fn)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.asarray(x).ndim == 0
+    xs, scalar = _as_array(x, ndmin=1)
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
         if xi <= 0:
@@ -185,5 +169,4 @@ def invert_transform(phi_fn, alpha: float, x, dphi=None, probe: bool = True):
             d_h2 = (g(xi + h / 2) - g(xi - h / 2)) / h
             deriv = (4.0 * d_h2 - d_h) / 3.0
         out[i] = gx + xi * deriv / alpha
-    out = _clip_unit(out, "invert_transform")
-    return float(out[0]) if scalar else out
+    return _ret(_clip_unit(out, "invert_transform"), scalar)

@@ -86,6 +86,15 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(DistSpecError) as exc:
         parse_dist("cauchy:1")
     assert exc.value.offset == 0
+    assert exc.value.expected == "one of dirac/pareto/sympareto/beta/gamma/uniform/mu"
+
+    with pytest.raises(DistSpecError) as exc:
+        parse_dist("beta:2")
+    assert (exc.value.offset, exc.value.expected) == (6, ",")
+
+    with pytest.raises(DistSpecError) as exc:
+        parse_dist("pareto:2,3")
+    assert (exc.value.offset, exc.value.expected) == (8, "end of input")
 
     with pytest.raises(DistSpecError):
         parse_dist("")
@@ -99,6 +108,10 @@ def test_parse_errors_carry_offsets():
 def test_format_dist_rejects_inexpressible():
     with pytest.raises(DistSpecError):
         format_dist(Pareto(2.0, scale=3.0))
+    with pytest.raises(DistSpecError):
+        format_dist(SymPareto(2.0, scale=0.5))
+    with pytest.raises(DistSpecError):
+        format_dist(FiniteMixture(((0.5, Dirac(1.0)), (0.5, Pareto(2.0, scale=2.0)))))
 
 
 def test_simulate_csv_deterministic_across_workers(tmp_path, monkeypatch):
@@ -191,6 +204,9 @@ def test_usage_errors_exit_two(tmp_path):
     assert run(["nstep", "--grid", "1:2", "--out", "x.csv"]) == 2
     assert run(["simulate", "--step", "mix:0.9*dirac:1", "--out", "x.csv"]) == 2
     assert run(["bogus"]) == 2
+    assert run(["simulate", "--n", "0", "--out", "x.csv"]) == 2
+    assert run(["simulate", "--paths", "2.5", "--out", "x.csv"]) == 2
+    assert run(["simulate", "--seed", "-1", "--out", "x.csv"]) == 2
     out = tmp_path / "w.csv"
     assert run(["simulate", "--conv", "weak-kendall", "--alpha", "1.5",
                 "--paths", "5", "--out", str(out)]) == 2

@@ -334,3 +334,23 @@ def test_parameter_validation():
         transience_sum(1.0, -2.0)
     with pytest.raises(ParameterError):
         transience_partial_sum(1.0, -2.0)
+    # NaN real arguments are rejected, not turned into a value
+    nan = float("nan")
+    for call in (
+        lambda: transience_sum(1.0, nan),
+        lambda: transience_sum(1.0, np.array([2.0, nan])),
+        lambda: transience_partial_sum(1.0, nan),
+        lambda: increment_joint_prob(3, nan, 2.0),
+        lambda: increment_joint_prob(3, 1.0, nan),
+        lambda: increment_cdf(2, nan),
+    ):
+        with pytest.raises(ParameterError):
+            call()
+    # n_max is a nonnegative integer and tol a positive finite number
+    for n_max in (2.5, np.inf, np.nan, -1):
+        with pytest.raises(ParameterError):
+            transience_partial_sum(1.0, 2.0, n_max=n_max)
+    for tol in (np.nan, 0.0, -1e-9, np.inf):
+        with pytest.raises(ParameterError):
+            transience_partial_sum(1.0, 2.0, tol=tol)
+    assert transience_partial_sum(1.0, 2.0, n_max=0) == (0.0, 3.0)

@@ -13,16 +13,25 @@ from kendall_walks import (
     Dirac,
     FiniteMixture,
     Gamma,
+    Kendall,
     MuAlpha,
     ParameterError,
     Pareto,
     RngStream,
+    Scaled,
+    SupportError,
     SymPareto,
     Uniform01,
+    WalkConfig,
+    convolve_sample,
     ks_statistic,
     mu1_cdf,
     mu1_pdf,
     mu1_ppf,
+    nstep_cdf,
+    nstep_pdf,
+    phi,
+    phi_prime,
     philox_key,
     sample_mu_alpha,
     scale_law,
@@ -186,9 +195,32 @@ def test_symmetrized_atom_structure():
 def test_abs_law_folds():
     law = SymPareto(2.0).abs_law()
     assert law == Pareto(2.0, scale=1.0)
+    assert law.abs_law() is law
     folded = symmetrized_atom(1.0).abs_law()
     xs = np.array([0.5, 1.0, 2.0])
     assert np.max(np.abs(folded.cdf(xs) - Dirac(1.0).cdf(xs))) < 1e-15
+
+
+_SYM = SymPareto(2.0)
+_HALF_LINE_ENTRY_POINTS = {
+    "phi": lambda: phi(_SYM, 1.0, 0.5),
+    "phi_prime": lambda: phi_prime(_SYM, 1.0, 0.5),
+    "nstep_cdf": lambda: nstep_cdf(_SYM, 1.0, 2, 0.5),
+    "nstep_pdf": lambda: nstep_pdf(_SYM, 1.0, 2, 0.5),
+    "moment_sympareto": lambda: _SYM.truncated_alpha_moment(1.0, 1.0),
+    "moment_mu": lambda: MuAlpha(0.5).truncated_alpha_moment(1.0, 1.0),
+    "moment_negative_dirac": lambda: Dirac(-1.0).truncated_alpha_moment(1.0, 1.0),
+    "moment_reflected_pareto": lambda: Scaled(Pareto(2.0), -1.0).truncated_alpha_moment(1.0, 1.0),
+    "abs_law_mu": lambda: MuAlpha(0.5).abs_law(),
+    "convolve_sample": lambda: convolve_sample(Kendall(1.0), _SYM, Dirac(1.0), RngStream(0), 4),
+    "walk_config": lambda: WalkConfig("kendall", 1.0, _SYM, 3, 3, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_HALF_LINE_ENTRY_POINTS))
+def test_half_line_rule_at_every_entry_point(entry):
+    with pytest.raises(SupportError, match=r"is not carried by \[0, inf\)"):
+        _HALF_LINE_ENTRY_POINTS[entry]()
 
 
 def test_mu1_pdf_against_sine_integral():

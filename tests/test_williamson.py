@@ -191,3 +191,26 @@ def test_nstep_cdf_monotone(n, alpha):
     vals = nstep_cdf(Pareto(2.0), alpha, n, xs)
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all((vals >= 0) & (vals <= 1))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "law", [Dirac(1.5), Pareto(2.0), Beta(2.0, 3.0), Gamma(1.5, 2.0), Uniform01()], ids=repr
+)
+def test_scalar_call_equals_array_element(law, alpha):
+    # a Python float is evaluated as a one-element array: numpy's 0-d pow can
+    # differ from the vectorized one in the last place
+    ts = np.linspace(0.05, 3.0, 100)
+    points = np.concatenate([ts, 1.0 / ts])
+    calls = (
+        lambda x: phi(law, alpha, x),
+        lambda x: phi_prime(law, alpha, x),
+        lambda x: nstep_cdf(law, alpha, 3, x),
+        lambda x: nstep_pdf(law, alpha, 3, x),
+    )
+    for call in calls:
+        whole = call(points)
+        for x, want in zip(points.tolist(), whole.tolist()):
+            got = call(x)
+            assert type(got) is float
+            assert got == want
