@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import ParameterError
-from .measures import _as_array, _check_int, _check_positive, _ret
+from .measures import _as_array, _check_int, _check_positive, _finite_or_zero, _ret
 
 __all__ = [
     "nstep_delta1_cdf",
@@ -82,10 +82,14 @@ def nstep_uniform_cdf(n: int, alpha: float, x):
 
 
 def _nstep_from_parts(cdf_vals, moment_vals, alpha, n, x):
-    y = np.maximum(x, 1e-300) ** -alpha
-    g = cdf_vals - y * moment_vals
-    out = g**n + n * g ** (n - 1) * y * moment_vals
-    return np.where(x > 0, out, 0.0)
+    # at tiny x, y overflows against a moment that underflowed to 0; the
+    # exact products are at most F(x), so a non-finite one is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.maximum(x, 1e-300) ** -alpha
+        ym = _finite_or_zero(y * moment_vals)
+        g = cdf_vals - ym
+        tail = _finite_or_zero(n * g ** (n - 1) * y * moment_vals)
+    return np.where(x > 0, g**n + tail, 0.0)
 
 
 def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
@@ -319,12 +323,13 @@ def transience_partial_sum(alpha: float, x: float, n_max: int | None = None,
 
     With y = x^(-alpha) and q = 1 - y the tail beyond N sums to
     q^N (N y + 2 - y)/y exactly; when ``n_max`` is omitted, N grows until
-    the bound drops below ``tol``.
+    the bound drops below ``tol``.  At x = inf every F_n is 1 and the sum
+    diverges, so x must be finite.
     """
     _check_positive("alpha", alpha)
     _check_positive("tol", tol)
-    if not x >= 0:
-        raise ParameterError(f"threshold x must be nonnegative, got {x!r}")
+    if not 0 <= x < math.inf:
+        raise ParameterError(f"threshold x must be finite and nonnegative, got {x!r}")
     if n_max is not None:
         n_max = _check_int("n_max", n_max, 0)
     if x < 1.0:

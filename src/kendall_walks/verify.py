@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,6 @@ from .convolution import (
 from .errors import ParameterError
 from .measures import (
     Dirac,
-    Distribution,
     FiniteMixture,
     Gamma,
     MuAlpha,
@@ -95,19 +94,17 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _check(name, statistic, threshold, detail=""):
     statistic = float(statistic)
     threshold = float(threshold)
     return CheckResult(name, statistic, threshold, bool(statistic <= threshold), detail)
+
+
+def _prefixed(prefix: str, checks) -> tuple:
+    return tuple(replace(c, name=f"{prefix}{c.name}") for c in checks)
 
 
 @dataclass
@@ -274,19 +271,16 @@ def _binomial_band(p: float, m: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / m)
 
 
-def _dyadic_summability_check(c_n: Callable, n0: int, horizon: int) -> CheckResult:
-    """Heuristic summability gate on sum 1/c_n: successive dyadic block
-    sums within [n0, horizon] must decay geometrically (ratio <= 0.9).
+def _dyadic_summability_check(inv_c, n0: int, horizon: int) -> CheckResult:
+    """Heuristic summability gate on sum 1/c_n, given ``inv_c`` = 1/c_n for
+    n in [n0, horizon]: successive dyadic block sums must decay
+    geometrically (ratio <= 0.9).
     """
     blocks = []
     lo = n0
     while lo <= horizon:
         hi = min(2 * lo - 1, horizon)
-        ns = np.arange(lo, hi + 1)
-        vals = np.array([1.0 / c_n(int(n)) for n in ns])
-        if np.any(vals < 0):
-            raise ParameterError("c_n must be positive")
-        blocks.append(vals.sum())
+        blocks.append(inv_c[lo - n0 : hi - n0 + 1].sum())
         lo = 2 * lo
     if len(blocks) < 2 or blocks[0] == 0.0:
         return _check(
@@ -325,22 +319,10 @@ def envelope_check(ensemble: WalkEnsemble, spec) -> VerificationReport:
         thresholds = ns ** (spec.r + 1.0) / np.log(ns)
         viol = abs_states ** cfg.alpha > thresholds
         per_n_prob = np.atleast_1d(closedforms.envelope_prob(ns, spec.r))
-        rate_ns = [n for n in spec.check_ns if spec.n0 <= n <= horizon]
-        if not rate_ns:
+        rate_js = [n - spec.n0 for n in spec.check_ns if spec.n0 <= n <= horizon]
+        if not rate_js:
             raise ParameterError(
                 f"no check_ns fall inside [{spec.n0}, {horizon}]"
-            )
-        for n in rate_ns:
-            j = n - spec.n0
-            p = float(per_n_prob[j])
-            rate = float(viol[:, j].mean())
-            checks.append(
-                _check(
-                    f"violation_rate_n{n}",
-                    abs(rate - p),
-                    _binomial_band(p, m),
-                    detail=f"empirical {rate:.6f} vs exact {p:.6f} at {m} paths",
-                )
             )
         union = float(np.minimum(per_n_prob, 1.0).sum())
     else:
@@ -367,25 +349,25 @@ def envelope_check(ensemble: WalkEnsemble, spec) -> VerificationReport:
                 detail="a_n nondecreasing and bounded by kappa",
             )
         )
-        checks.append(_dyadic_summability_check(spec.c_n, spec.n0, horizon))
+        checks.append(_dyadic_summability_check(1.0 / c, spec.n0, horizon))
         with np.errstate(over="ignore"):
             thresholds = (spec.kappa * c * b) ** (1.0 / a)
         viol = abs_states > thresholds
         per_n_prob = np.minimum(1.0 / c, 1.0)
-        pick = np.unique(np.linspace(0, ns.size - 1, 4).astype(int))
-        for j in pick:
-            n = int(ns[j])
-            p = float(per_n_prob[j])
-            rate = float(viol[:, j].mean())
-            checks.append(
-                _check(
-                    f"violation_rate_n{n}",
-                    rate,
-                    p + _binomial_band(p, m),
-                    detail=f"empirical {rate:.6f} vs Markov bound {p:.6f}",
-                )
-            )
+        rate_js = np.unique(np.linspace(0, ns.size - 1, 4).astype(int))
         union = float(per_n_prob.sum())
+    # two-sided against the exact law, one-sided against the Markov bound
+    exact = isinstance(spec, PowerLawEnvelope)
+    for j in rate_js:
+        n, p, rate = int(ns[j]), float(per_n_prob[j]), float(viol[:, j].mean())
+        band = _binomial_band(p, m)
+        if exact:
+            stat, thr = abs(rate - p), band
+            detail = f"empirical {rate:.6f} vs exact {p:.6f} at {m} paths"
+        else:
+            stat, thr = rate, p + band
+            detail = f"empirical {rate:.6f} vs Markov bound {p:.6f}"
+        checks.append(_check(f"violation_rate_n{n}", stat, thr, detail=detail))
     any_viol = viol.any(axis=1)
     frac = float(any_viol.mean())
     last_index = np.where(
@@ -413,8 +395,8 @@ def envelope_check(ensemble: WalkEnsemble, spec) -> VerificationReport:
 
 
 _UNIT_ATOM_SETS = (
-    (((1.0, 1.0),)),
-    (((-1.0, 0.5), (1.0, 0.5))),
+    ((1.0, 1.0),),
+    ((-1.0, 0.5), (1.0, 0.5)),
 )
 
 
@@ -503,31 +485,23 @@ def run_ks_suite(config=None) -> VerificationReport:
     cfg = _merged(config)
     seed, m = cfg["seed"], cfg["samples"]
     thr = 3.0 * KS_COEFF / math.sqrt(m)
+    horizon = cfg["horizon"]
+    # (name, step law, horizon, checked ns, n-step CDF at alpha 1); the
+    # case index is the seed offset
+    cases = (
+        ("unit_step", Dirac(1.0), horizon, range(2, horizon + 1),
+         lambda n, x: closedforms.nstep_delta1_cdf(n, 1.0, x)),
+        ("uniform_step", Uniform01(), 2, (2,),
+         lambda n, x: closedforms.nstep_uniform_cdf(n, 1.0, x)),
+        ("gamma_step", Gamma(2.0, 1.0), 3, (3,),
+         lambda n, x: closedforms.nstep_gamma_cdf(n, 1.0, 2.0, 1.0, x)),
+    )
     checks = []
-    ens = simulate(WalkConfig("kendall", 1.0, Dirac(1.0), cfg["horizon"], m, seed))
-    for n in range(2, cfg["horizon"] + 1):
-        stat = ks_statistic(
-            ens.states[:, n], lambda x, n=n: closedforms.nstep_delta1_cdf(n, 1.0, x)
-        )
-        checks.append(_check(f"unit_step_n{n}", stat, thr))
-    uni = simulate(WalkConfig("kendall", 1.0, Uniform01(), 2, m, seed + 1))
-    checks.append(
-        _check(
-            "uniform_step_n2",
-            ks_statistic(uni.states[:, 2],
-                         lambda x: closedforms.nstep_uniform_cdf(2, 1.0, x)),
-            thr,
-        )
-    )
-    bet = simulate(WalkConfig("kendall", 1.0, Gamma(2.0, 1.0), 3, m, seed + 2))
-    checks.append(
-        _check(
-            "gamma_step_n3",
-            ks_statistic(bet.states[:, 3],
-                         lambda x: closedforms.nstep_gamma_cdf(3, 1.0, 2.0, 1.0, x)),
-            thr,
-        )
-    )
+    for offset, (name, step, steps, ns, cdf) in enumerate(cases):
+        ens = simulate(WalkConfig("kendall", 1.0, step, steps, m, seed + offset))
+        for n in ns:
+            stat = ks_statistic(ens.states[:, n], lambda x, n=n: cdf(n, x))
+            checks.append(_check(f"{name}_n{n}", stat, thr))
     return VerificationReport(
         suite="ks",
         seed=seed,
@@ -544,21 +518,16 @@ def run_moments_suite(config=None) -> VerificationReport:
         WalkConfig("kendall", 1.0, Dirac(1.0), cfg["horizon"], cfg["paths"], seed)
     )
     base = moment_check(ens, ns=range(1, 21))
-    extra = []
-    for alpha in (0.5, 2.0):
-        for n in (2, 5, 10, 20):
-            extra.append(
-                _check(
-                    f"alpha_moment_a{alpha}_n{n}",
-                    abs(_alpha_moment_quad(n, alpha) - n),
-                    1e-8,
-                )
-            )
+    extra = tuple(
+        _check(f"alpha_moment_a{alpha}_n{n}", abs(_alpha_moment_quad(n, alpha) - n), 1e-8)
+        for alpha in (0.5, 2.0)
+        for n in (2, 5, 10, 20)
+    )
     return VerificationReport(
         suite="moments",
         seed=seed,
         sample_sizes={"paths": cfg["paths"], "horizon": cfg["horizon"]},
-        checks=base.checks + tuple(extra),
+        checks=base.checks + extra,
     )
 
 
@@ -617,8 +586,7 @@ def run_envelope_suite(config=None) -> VerificationReport:
     ens = simulate(
         WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0), horizon, m, seed)
     )
-    ns = tuple(n for n in (50, 100, 200) if n <= horizon)
-    power = envelope_check(ens, PowerLawEnvelope(r=cfg["r"], n0=50, check_ns=ns))
+    power = envelope_check(ens, PowerLawEnvelope(r=cfg["r"]))
     declared = envelope_check(
         ens,
         EnvelopeSpec(
@@ -630,70 +598,52 @@ def run_envelope_suite(config=None) -> VerificationReport:
             n0=50,
         ),
     )
-    named = tuple(
-        CheckResult(f"power_{c.name}", c.statistic, c.threshold, c.passed, c.detail)
-        for c in power.checks
-    ) + tuple(
-        CheckResult(f"declared_{c.name}", c.statistic, c.threshold, c.passed, c.detail)
-        for c in declared.checks
-    )
     return VerificationReport(
         suite="envelope",
         seed=seed,
         sample_sizes={"paths": m, "horizon": horizon},
-        checks=named,
+        checks=_prefixed("power_", power.checks) + _prefixed("declared_", declared.checks),
     )
 
 
-def _half_line_pool(gen) -> Distribution:
-    pick = gen.integers(0, 4)
-    if pick == 0:
-        return Dirac(0.5 + 1.5 * gen.random())
-    if pick == 1:
-        return Pareto(2.5 + 1.5 * gen.random())
-    if pick == 2:
-        return Uniform01()
-    return Gamma(1.0 + 2.0 * gen.random(), 1.0)
-
-
-def _symmetric_pool(gen) -> Distribution:
-    pick = gen.integers(0, 3)
-    if pick == 0:
-        return symmetrized_atom(0.5 + 1.5 * gen.random())
-    if pick == 1:
-        return SymPareto(2.5 + 1.5 * gen.random())
-    return MuAlpha(0.4 + 0.5 * gen.random())
-
-
-def _continuous_pool(gen, real_line: bool) -> Distribution:
-    """Atom-free laws only.  Associativity and homogeneity compare the two
-    association/scaling orders by two-sample KS; point masses would land
-    on floats that differ by rounding between the orders (e.g.
-    (a^alpha + b^alpha) + c^alpha versus a^alpha + (b^alpha + c^alpha)),
-    and KS treats atoms one ulp apart as disjoint.  Continuous outputs
-    make the comparison insensitive to that.
-    """
-    if real_line:
-        if gen.integers(0, 2) == 0:
-            return SymPareto(2.5 + 1.5 * gen.random())
-        return MuAlpha(0.4 + 0.5 * gen.random())
-    pick = gen.integers(0, 3)
-    if pick == 0:
-        return Pareto(2.5 + 1.5 * gen.random())
-    if pick == 1:
-        return Uniform01()
-    return Gamma(1.0 + 2.0 * gen.random(), 1.0)
+# Per support (keyed by real_line): the atom law and the atom-free laws,
+# each made from a generator.  Associativity and homogeneity draw from
+# the atom-free laws only: they compare the two association/scaling
+# orders by two-sample KS, and point masses would land on floats that
+# differ by rounding between the orders (e.g. (a^alpha + b^alpha) +
+# c^alpha versus a^alpha + (b^alpha + c^alpha)), which KS treats as
+# disjoint atoms one ulp apart.  Continuous outputs make the comparison
+# insensitive to that.
+_AXIOM_LAWS = {
+    False: (
+        lambda g: Dirac(0.5 + 1.5 * g.random()),
+        (
+            lambda g: Pareto(2.5 + 1.5 * g.random()),
+            lambda g: Uniform01(),
+            lambda g: Gamma(1.0 + 2.0 * g.random(), 1.0),
+        ),
+    ),
+    True: (
+        lambda g: symmetrized_atom(0.5 + 1.5 * g.random()),
+        (
+            lambda g: SymPareto(2.5 + 1.5 * g.random()),
+            lambda g: MuAlpha(0.4 + 0.5 * g.random()),
+        ),
+    ),
+}
 
 
 def _axiom_checks(kind: Convolution, inst: int, rng: RngStream, m: int, thr: float):
     gen = rng.generator
-    real_line = kind.real_line
-    pool = _symmetric_pool if real_line else _half_line_pool
+    atom, atom_free = _AXIOM_LAWS[kind.real_line]
+    any_law = (atom,) + atom_free
+
+    def draw(makers):
+        return makers[gen.integers(0, len(makers))](gen)
+
     a, b = 0.25 + 2.0 * gen.random(2)
-    law1, law2, law3 = pool(gen), pool(gen), pool(gen)
-    claw1 = _continuous_pool(gen, real_line)
-    claw2 = _continuous_pool(gen, real_line)
-    claw3 = _continuous_pool(gen, real_line)
+    law1, law2, law3 = draw(any_law), draw(any_law), draw(any_law)
+    claw1, claw2, claw3 = draw(atom_free), draw(atom_free), draw(atom_free)
     tag = f"{kind.name}_{inst}"
     checks = []
 
@@ -770,11 +720,7 @@ def run_verification(suite: str, config=None) -> VerificationReport:
         for rep in reports:
             for key, val in rep.sample_sizes.items():
                 merged_sizes[f"{rep.suite}.{key}"] = val
-            merged_checks.extend(
-                CheckResult(f"{rep.suite}.{c.name}", c.statistic, c.threshold,
-                            c.passed, c.detail)
-                for c in rep.checks
-            )
+            merged_checks.extend(_prefixed(f"{rep.suite}.", rep.checks))
         report = VerificationReport(
             suite="all",
             seed=_merged(config)["seed"],

@@ -27,7 +27,14 @@ import logging
 import numpy as np
 
 from .errors import ParameterError, TransformError
-from .measures import Distribution, _as_array, _check_int, _check_positive, _ret
+from .measures import (
+    Distribution,
+    _as_array,
+    _check_int,
+    _check_positive,
+    _finite_or_zero,
+    _ret,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -43,13 +50,15 @@ def phi(law: Distribution, alpha: float, t):
         raise ParameterError("phi is defined for t >= 0")
     pos = arr > 0
     safe = np.where(pos, arr, 1.0)
-    # subnormal t overflows to inf; cdf and truncated moment saturate there
-    with np.errstate(over="ignore"):
+    # 1/t overflows at subnormal t, and t^alpha at huge t against a moment
+    # that underflowed to 0; the exact term is at most F(1/t), so a
+    # non-finite one is 0
+    with np.errstate(over="ignore", invalid="ignore"):
         inv = 1.0 / safe
-    out = np.asarray(law.cdf(inv), dtype=float) - safe**alpha * np.asarray(
-        law.truncated_alpha_moment(inv, alpha), dtype=float
-    )
-    out = np.where(pos, out, 1.0)
+        term = _finite_or_zero(
+            safe**alpha * np.asarray(law.truncated_alpha_moment(inv, alpha), dtype=float)
+        )
+    out = np.where(pos, np.asarray(law.cdf(inv), dtype=float) - term, 1.0)
     return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
@@ -83,7 +92,9 @@ def _nstep_parts(law: Distribution, alpha: float, n: int, x):
     arr, scalar = _as_array(x, ndmin=1)
     pos = arr > 0
     safe = np.where(pos, arr, 1.0)
-    ph = np.asarray(phi(law, alpha, 1.0 / safe), dtype=float)
+    with np.errstate(over="ignore"):
+        inv = 1.0 / safe
+    ph = np.asarray(phi(law, alpha, inv), dtype=float)
     m = np.asarray(law.truncated_alpha_moment(safe, alpha), dtype=float)
     return n, scalar, pos, safe, ph, m
 
@@ -98,7 +109,10 @@ def nstep_cdf(law: Distribution, alpha: float, n: int, x, left: bool = False):
     if left:
         for loc, w in law.atoms():
             m = np.where(safe == loc, m - loc**alpha * w, m)
-    out = ph**n + n * ph ** (n - 1) * safe**-alpha * m
+    # x^-alpha overflows at tiny x against a moment that underflowed to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = _finite_or_zero(n * ph ** (n - 1) * safe**-alpha * m)
+    out = ph**n + tail
     return _ret(_clip_unit(np.where(pos, out, 0.0), "nstep_cdf"), scalar)
 
 
@@ -114,7 +128,10 @@ def nstep_pdf(law: Distribution, alpha: float, n: int, x):
     base = np.asarray(law.pdf(safe), dtype=float)
     first = 0.0
     if n >= 2:
-        first = alpha * n * (n - 1) * ph ** (n - 2) * safe ** (-2 * alpha - 1.0) * m**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = _finite_or_zero(
+                alpha * n * (n - 1) * ph ** (n - 2) * safe ** (-2 * alpha - 1.0) * m**2
+            )
     out = first + n * ph ** (n - 1) * base
     return _ret(np.where(pos, out, 0.0), scalar)
 

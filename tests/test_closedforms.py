@@ -334,6 +334,10 @@ def test_parameter_validation():
         transience_sum(1.0, -2.0)
     with pytest.raises(ParameterError):
         transience_partial_sum(1.0, -2.0)
+    # every F_n(inf) is 1: the partial sum has no remainder bound there
+    for n_max in (None, 5):
+        with pytest.raises(ParameterError):
+            transience_partial_sum(1.0, np.inf, n_max=n_max)
     # NaN real arguments are rejected, not turned into a value
     nan = float("nan")
     for call in (

@@ -1,5 +1,6 @@
 """Statistical gates: KS machinery, envelope checks, reports, suites."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -185,6 +186,52 @@ def test_report_bytes_deterministic():
         return moment_check(simulate(cfg), ns=(1, 2, 3)).to_json()
 
     assert build() == build()
+
+
+_SMALL = {"samples": 2000, "paths": 2000, "envelope_paths": 400,
+          "envelope_horizon": 200, "seed": 7}
+
+
+def _pinned_envelope_walk():
+    return simulate(WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0), 600, 400, 11))
+
+
+_PINNED_REPORTS = {
+    "all": lambda: run_verification("all", _SMALL),
+    "envelope_h120": lambda: run_verification("envelope", dict(_SMALL, envelope_horizon=120)),
+    "power_law": lambda: envelope_check(
+        _pinned_envelope_walk(),
+        PowerLawEnvelope(r=1.3, n0=20, check_ns=(20, 77, 150, 500)),
+    ),
+    "declared": lambda: envelope_check(
+        _pinned_envelope_walk(),
+        EnvelopeSpec(
+            a_n=lambda n: 0.9,
+            b_n=lambda n: 2.0,
+            c_n=lambda n: float(n) ** 1.5,
+            d_n=lambda n: 1.0,
+            kappa=1.0,
+            n0=13,
+        ),
+    ),
+}
+
+# SHA-256 of to_json() for each report above.  They pin every check name,
+# order, statistic, threshold and detail string; a different scipy (its
+# quadrature and special functions feed the statistics) may need them
+# re-recorded.
+_REPORT_DIGESTS = {
+    "all": "87848d3d5a67386a09fa8c0ba3419b5ef3a30dea63da88da1ab41e69ca9f2ff1",
+    "envelope_h120": "3c940bd0a6a3406dca950d3bcd5c1aa8b8e1b0724130f0c3424571b6929de51e",
+    "power_law": "52eb67c8a1423ded2f12cabb98c26263e6131754446742bfb0a26e5721ebdad0",
+    "declared": "ef8b1f89cd5adb9283c4a84bfca036b687017768114d2d3f2dd638e5f0aa790d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REPORT_DIGESTS))
+def test_report_bytes_are_pinned(key):
+    text = _PINNED_REPORTS[key]().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _REPORT_DIGESTS[key]
 
 
 def test_run_verification_config_handling():

@@ -127,6 +127,28 @@ def test_nstep_pdf_integrates_cdf_increments():
         assert abs(inc - want) < 1e-8
 
 
+def test_overflowing_power_against_underflowed_moment_is_finite():
+    # x^-alpha (or t^alpha) overflows to inf where the truncated moment
+    # underflows to 0; the product is at most F(x), so it counts as 0.
+    # A RuntimeWarning fails the test.
+    cdfs = (
+        (nstep_beta_cdf(2, 2.0, 2.0, 3.0, 1e-200), Beta(2.0, 3.0), 1e-200),
+        (nstep_gamma_cdf(2, 2.0, 1.5, 2.0, 1e-200), Gamma(1.5, 2.0), 1e-200),
+        (nstep_cdf(Gamma(1.5, 2.0), 2.0, 2, 1e-155), Gamma(1.5, 2.0), 1e-155),
+    )
+    for law in (Beta(2.0, 3.0), Gamma(1.5, 2.0), Uniform01()):
+        for n in (1, 2, 3):
+            cdfs += ((nstep_cdf(law, 2.0, n, 1e-200), law, 1e-200),)
+    for value, law, x in cdfs:
+        # X_n >= d X_1, so F_n(x) <= F(x)
+        assert 0.0 <= value <= law.cdf(x)
+    assert np.isfinite(nstep_pdf(Gamma(1.5, 2.0), 2.0, 2, 1e-100))
+    assert np.isfinite(phi(Beta(2.0, 3.0), 2.0, 1e160))
+    # 1/t overflows at subnormal t; the transform tends to 1 as t -> 0
+    assert phi(Pareto(0.7, 3.0), 1.0, 5e-324) == 1.0
+    assert phi(Pareto(0.7, 3.0), 1.0, 1e-310) == 1.0
+
+
 def test_invert_transform_product_rule():
     # squaring the one-atom transform gives the two-step law
     alpha = 1.0
