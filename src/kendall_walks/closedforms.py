@@ -120,8 +120,10 @@ def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
     arr, scalar = _as_array(x)
     pos = np.maximum(arr, 0.0)
     coeff = math.exp(special.gammaln(a + alpha) - special.gammaln(a)) / b**alpha
-    cdf_vals = special.gammainc(a, b * pos)
-    moment_vals = coeff * special.gammainc(a + alpha, b * pos)
+    with np.errstate(over="ignore"):  # gammainc(., inf) is 1
+        bx = b * pos
+    cdf_vals = special.gammainc(a, bx)
+    moment_vals = coeff * special.gammainc(a + alpha, bx)
     return _ret(_nstep_from_parts(cdf_vals, moment_vals, alpha, n, arr), scalar)
 
 

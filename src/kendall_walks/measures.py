@@ -7,6 +7,11 @@ quantile ``ppf`` of the stream's uniforms), ``cdf`` (right continuous),
 are frozen dataclasses, so structural equality works and they can be used
 as dictionary keys.
 
+A walk's step takes ``_draws`` uniforms of its path stream, and the law
+maps each ``(m, _draws)`` block to m draws in ``_from_uniforms``: by
+default one uniform through ``ppf``, so a law with a quantile needs no
+edit in :mod:`.walks`.  ``Dirac`` takes none and ``MuAlpha`` three.
+
 Random draws go through :class:`RngStream`, a thin wrapper over numpy's
 counter-based Philox generator: distinct ``(seed, stream_id)`` pairs give
 independent streams, identical pairs reproduce draws bit for bit.
@@ -99,6 +104,18 @@ class Distribution:
     def ppf(self, u):
         raise NotImplementedError
 
+    @property
+    def _draws(self) -> int:
+        """Uniforms one draw takes from a walk's path stream; ParameterError
+        for a law with neither a ``ppf`` nor a block sampler of its own."""
+        if type(self).ppf is Distribution.ppf:
+            raise ParameterError(f"no block sampler for step law {self!r}")
+        return 1
+
+    def _from_uniforms(self, u):
+        """Map an ``(m, _draws)`` block of uniforms to m draws."""
+        return np.asarray(self.ppf(u[:, 0]), dtype=float)
+
     def cdf(self, x):
         raise NotImplementedError
 
@@ -168,6 +185,8 @@ class Dirac(Distribution):
 
     location: float
 
+    _draws = 0
+
     def __post_init__(self):
         if not math.isfinite(self.location):
             raise ParameterError(f"location must be finite, got {self.location!r}")
@@ -195,6 +214,9 @@ class Dirac(Distribution):
     def ppf(self, u):
         arr, scalar = _as_array(u)
         return _ret(np.full_like(arr, self.location), scalar)
+
+    def _from_uniforms(self, u):
+        return np.full(u.shape[0], self.location, dtype=float)
 
     def truncated_alpha_moment(self, x, alpha):
         self._require_half_line()
@@ -232,10 +254,9 @@ class Pareto(Distribution):
 
     def pdf(self, x):
         arr, scalar = _as_array(x)
+        y = np.maximum(arr / self.scale, 1.0)
         out = np.where(
-            arr >= self.scale,
-            (self.order / self.scale) * (arr / self.scale) ** (-self.order - 1.0),
-            0.0,
+            arr >= self.scale, (self.order / self.scale) * y ** (-self.order - 1.0), 0.0
         )
         return _ret(out, scalar)
 
@@ -276,16 +297,15 @@ class SymPareto(Distribution):
     def cdf(self, x):
         arr, scalar = _as_array(x)
         y = np.abs(arr) / self.scale
-        tail = 0.5 * np.where(y >= 1.0, y**-self.order, 1.0)
+        tail = 0.5 * np.where(y >= 1.0, np.maximum(y, 1.0) ** -self.order, 1.0)
         out = np.where(arr <= 0, tail, 1.0 - tail)
         return _ret(out, scalar)
 
     def pdf(self, x):
         arr, scalar = _as_array(x)
         y = np.abs(arr) / self.scale
-        out = np.where(
-            y >= 1.0, (self.order / (2.0 * self.scale)) * y ** (-self.order - 1.0), 0.0
-        )
+        tail = np.maximum(y, 1.0) ** (-self.order - 1.0)
+        out = np.where(y >= 1.0, (self.order / (2.0 * self.scale)) * tail, 0.0)
         return _ret(out, scalar)
 
     def abs_law(self):
@@ -365,20 +385,23 @@ class Gamma(Distribution):
         out = rng.generator.gamma(self.shape, 1.0 / self.rate, size=size)
         return float(out) if size is None else out
 
+    # rate * x may overflow to inf, where gammainc(a, inf) is 1 and exp(-inf) 0
     def cdf(self, x):
         arr, scalar = _as_array(x)
-        return _ret(special.gammainc(self.shape, self.rate * np.maximum(arr, 0.0)), scalar)
+        with np.errstate(over="ignore"):
+            return _ret(special.gammainc(self.shape, self.rate * np.maximum(arr, 0.0)), scalar)
 
     def pdf(self, x):
         arr, scalar = _as_array(x)
-        pos = arr > 0
+        pos = (arr > 0) & (arr < math.inf)
         z = np.where(pos, arr, 1.0)
-        logpdf = (
-            self.shape * math.log(self.rate)
-            + (self.shape - 1.0) * np.log(z)
-            - self.rate * z
-            - special.gammaln(self.shape)
-        )
+        with np.errstate(over="ignore"):
+            logpdf = (
+                self.shape * math.log(self.rate)
+                + (self.shape - 1.0) * np.log(z)
+                - self.rate * z
+                - special.gammaln(self.shape)
+            )
         return _ret(np.where(pos, np.exp(logpdf), 0.0), scalar)
 
     def truncated_alpha_moment(self, x, alpha):
@@ -386,7 +409,8 @@ class Gamma(Distribution):
         coeff = math.exp(
             special.gammaln(self.shape + alpha) - special.gammaln(self.shape)
         ) / self.rate**alpha
-        val = coeff * special.gammainc(self.shape + alpha, self.rate * np.maximum(arr, 0.0))
+        with np.errstate(over="ignore"):
+            val = coeff * special.gammainc(self.shape + alpha, self.rate * np.maximum(arr, 0.0))
         return _ret(val, scalar)
 
 
@@ -416,12 +440,14 @@ class Uniform01(Distribution):
 
 
 def mu1_pdf(x):
-    """Density ``(1 - cos x) / (pi x^2)``, continuous at 0."""
+    """Density ``(1 - cos x) / (pi x^2)``, continuous at 0 and 0 at +-inf."""
     arr, scalar = _as_array(x)
     small = np.abs(arr) < 1e-6
     z = np.where(small, 1.0, arr)
-    out = np.where(small, 1.0 / (2.0 * np.pi), (1.0 - np.cos(z)) / (np.pi * z * z))
-    return _ret(out, scalar)
+    # pi z^2 overflows to inf above about 1e154, where the quotient is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(small, 1.0 / (2.0 * np.pi), (1.0 - np.cos(z)) / (np.pi * z * z))
+    return _ret(np.where(np.isinf(arr), 0.0, out), scalar)
 
 
 def mu1_cdf(x):
@@ -549,6 +575,8 @@ class MuAlpha(Distribution):
 
     alpha: float
 
+    _draws = 3  # one uniform for mu1_ppf, two for the Pareto factor
+
     def __post_init__(self):
         _check_positive("alpha", self.alpha, 1.0)
 
@@ -559,6 +587,9 @@ class MuAlpha(Distribution):
     def sample(self, rng, size=None):
         return sample_mu_alpha(self.alpha, rng, size)
 
+    def _from_uniforms(self, u):
+        return mu1_to_mu_alpha(self.alpha, mu1_ppf(u[:, 0]), u[:, 1], u[:, 2])
+
     def cdf(self, x):
         # Gil-Pelaez on the compactly supported characteristic function:
         # F(v) = 1/2 + (Si(v) - int_0^1 sin(t v) t^(a-1) dt) / pi
@@ -568,8 +599,8 @@ class MuAlpha(Distribution):
         a = self.alpha
 
         def one(v):
-            if v == 0.0:
-                return 0.5
+            if v == 0.0 or math.isinf(v):
+                return 0.5 + 0.5 * np.sign(v)
             j, _ = integrate.quad(
                 lambda t: t ** (a - 1.0) if t > 0.0 else 0.0, 0.0, 1.0,
                 weight="sin", wvar=v, epsabs=1e-12, limit=400,
@@ -587,6 +618,8 @@ class MuAlpha(Distribution):
         a = self.alpha
 
         def one(v):
+            if math.isinf(v):
+                return 0.0
             k, _ = integrate.quad(
                 lambda t: t**a, 0.0, 1.0,
                 weight="cos", wvar=v, epsabs=1e-13, limit=400,
@@ -622,33 +655,42 @@ class FiniteMixture(Distribution):
         los, his = zip(*(law.support for _, law in self.components))
         return (min(los), max(his))
 
-    def _component_index(self, u):
-        """Index of the component that uniforms ``u`` select, by cumulative weight."""
+    @property
+    def _draws(self):
+        return 1 + max(law._draws for _, law in self.components)
+
+    def _by_component(self, u, draw):
+        """One value per uniform in ``u``, which picks a component by cumulative
+        weight; ``draw(law, mask)`` fills the entries that picked ``law``."""
         cum = np.cumsum([w for w, _ in self.components])
-        idx = np.searchsorted(cum, u, side="right")
-        return np.minimum(idx, len(self.components) - 1)
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(self.components) - 1)
+        out = np.empty(u.shape[0], dtype=float)
+        for j, (_, law) in enumerate(self.components):
+            mask = idx == j
+            if mask.any():
+                out[mask] = draw(law, mask)
+        return out
 
     def sample(self, rng, size=None):
         scalar = size is None
-        n = 1 if scalar else int(size)
-        idx = self._component_index(rng.generator.random(n))
-        out = np.empty(n, dtype=float)
-        for j, (_, law) in enumerate(self.components):
-            mask = idx == j
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = law.sample(rng, cnt)
+        u = rng.generator.random(1 if scalar else int(size))
+        out = self._by_component(u, lambda law, mask: law.sample(rng, int(mask.sum())))
         return float(out[0]) if scalar else out
 
-    def cdf(self, x):
+    def _from_uniforms(self, u):
+        return self._by_component(u[:, 0], lambda law, mask: law._from_uniforms(u[mask, 1:]))
+
+    def _weighted_sum(self, value, x):
+        """``sum_j w_j value(law_j, x)`` over the components."""
         arr, scalar = _as_array(x)
-        out = sum(w * np.asarray(law.cdf(arr)) for w, law in self.components)
+        out = sum(w * np.asarray(value(law, arr)) for w, law in self.components)
         return _ret(out, scalar)
 
+    def cdf(self, x):
+        return self._weighted_sum(lambda law, arr: law.cdf(arr), x)
+
     def pdf(self, x):
-        arr, scalar = _as_array(x)
-        out = sum(w * np.asarray(law.pdf(arr)) for w, law in self.components)
-        return _ret(out, scalar)
+        return self._weighted_sum(lambda law, arr: law.pdf(arr), x)
 
     def atoms(self):
         merged: dict[float, float] = {}
@@ -659,12 +701,7 @@ class FiniteMixture(Distribution):
 
     def truncated_alpha_moment(self, x, alpha):
         self._require_half_line()
-        arr, scalar = _as_array(x)
-        out = sum(
-            w * np.asarray(law.truncated_alpha_moment(arr, alpha))
-            for w, law in self.components
-        )
-        return _ret(out, scalar)
+        return self._weighted_sum(lambda law, arr: law.truncated_alpha_moment(arr, alpha), x)
 
     def abs_law(self):
         return FiniteMixture(tuple((w, law.abs_law()) for w, law in self.components))
@@ -714,6 +751,13 @@ class Scaled(Distribution):
         ``1 - u`` capped at ``1 - 2^-53``, so u = 0 maps like the smallest
         positive 53-bit uniform instead of reaching ``base.ppf(1)``."""
         return u if self.factor > 0 else np.minimum(1.0 - u, 1.0 - 2.0**-53)
+
+    @property
+    def _draws(self):
+        return self.base._draws
+
+    def _from_uniforms(self, u):
+        return self.base._from_uniforms(self._base_uniforms(u)) * self.factor
 
     def ppf(self, u):
         arr, scalar = _as_array(u)

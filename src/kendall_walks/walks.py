@@ -13,11 +13,10 @@ transition applies the kernel mechanics:
   realized as ``v * u * R`` with ``R = +-1`` equiprobable.
 
 Both transitions live in :mod:`.convolution` and are called only by
-``simulate`` and ``kernel_sample``.  Every step law maps a fixed-width block of uniforms
-to its draws (``MuAlpha`` takes three: one for ``mu1_ppf`` and two for
-its Pareto factor).  ``Scaled`` owns the reflection that feeds its base
-law and ``FiniteMixture`` the choice of component; ``_block_sample``
-calls the same methods as their ``ppf`` and ``sample``.
+``simulate`` and ``kernel_sample``.  The step law owns its draws: each
+step takes a block of the law's ``_draws`` uniforms from the path stream,
+which the law's ``_from_uniforms`` maps to steps (see :mod:`.measures`).
+This module knows no law class.
 
 Path ``m`` of a simulation draws exclusively from the stream
 ``(seed, stream_id=m)``; within a path the uniforms are consumed in a
@@ -55,24 +54,7 @@ from .convolution import (
     parse_convolution,
 )
 from .errors import ParameterError, ResourceError
-from .measures import (
-    Beta,
-    Dirac,
-    Distribution,
-    FiniteMixture,
-    Gamma,
-    MuAlpha,
-    Pareto,
-    RngStream,
-    Scaled,
-    SymPareto,
-    Uniform01,
-    _check_int,
-    mu1_ppf,
-    mu1_to_mu_alpha,
-    philox_key,
-    sample_mu_alpha,
-)
+from .measures import Distribution, RngStream, _check_int, philox_key, sample_mu_alpha
 
 _U64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -144,7 +126,7 @@ class WalkConfig:
         object.__setattr__(self, "seed", _check_int("seed", self.seed))
         if not isinstance(self.unit_step, Distribution):
             raise ParameterError(f"unit_step must be a Distribution, got {self.unit_step!r}")
-        _quantile_draws(self.unit_step)
+        self.unit_step._draws  # raises ParameterError for a law without a block sampler
         kind._check_law(self.unit_step)
 
 
@@ -200,43 +182,11 @@ class AssociatedWalkEnsemble:
         return self.partial_sums.shape[0]
 
 
-def _quantile_draws(law: Distribution) -> int:
-    """Uniforms one draw of ``law`` takes from a path's stream.
-
-    Raises ParameterError for a law without a block sampler.
-    """
-    if isinstance(law, Dirac):
-        return 0
-    if isinstance(law, (Pareto, SymPareto, Uniform01, Beta, Gamma)):
-        return 1
-    if isinstance(law, MuAlpha):
-        return 3
-    if isinstance(law, Scaled):
-        return _quantile_draws(law.base)
-    if isinstance(law, FiniteMixture):
-        return 1 + max(_quantile_draws(component) for _, component in law.components)
-    raise ParameterError(f"no block sampler for step law {law!r}")
-
-
 def _block_sample(law: Distribution, u_block: np.ndarray) -> np.ndarray:
     """Map a (m, draws) uniform block to samples of ``law``."""
-    m = u_block.shape[0]
-    if isinstance(law, Dirac):
-        return np.full(m, law.location, dtype=float)
-    if isinstance(law, Scaled):
-        return _block_sample(law.base, law._base_uniforms(u_block)) * law.factor
-    if isinstance(law, MuAlpha):
-        y = mu1_ppf(u_block[:, 0])
-        return mu1_to_mu_alpha(law.alpha, y, u_block[:, 1], u_block[:, 2])
-    if isinstance(law, FiniteMixture):
-        idx = law._component_index(u_block[:, 0])
-        out = np.empty(m, dtype=float)
-        for j, (_, component) in enumerate(law.components):
-            mask = idx == j
-            if mask.any():
-                out[mask] = _block_sample(component, u_block[mask, 1:])
-        return out
-    return np.asarray(law.ppf(u_block[:, 0]), dtype=float)
+    # kept as a module-level name: benchmarks/tracer.py times the step
+    # sampling layer by wrapping it, and tests/test_walks.py calls it
+    return law._from_uniforms(u_block)
 
 
 def _mulhilo(a, mult: int, hi, x, t, u):
@@ -404,7 +354,7 @@ def simulate(config: WalkConfig) -> WalkEnsemble:
     thetas = np.empty((m, max(n - 1, 0)), dtype=float)
     switches = np.zeros((m, max(n - 1, 0)), dtype=bool)
     out = (states, steps, thetas, switches)
-    kdraws = _quantile_draws(config.unit_step)
+    kdraws = config.unit_step._draws
     _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(config, kdraws, lo, hi, out))
     return WalkEnsemble(config=config, states=states, steps=steps,
                         thetas=thetas, switches=switches)

@@ -1,5 +1,6 @@
 """Distribution primitives: streams, samplers, transforms, mixtures."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from kendall_walks import (
     mu1_pdf,
     mu1_ppf,
     nstep_cdf,
+    nstep_gamma_cdf,
     nstep_pdf,
     phi,
     phi_prime,
@@ -263,6 +265,51 @@ def test_mu1_cdf_exact_at_infinity():
         warnings.simplefilter("error")
         assert np.array_equal(mu1_cdf([-np.inf, np.inf]), [0.0, 1.0])
         assert MuAlpha(1.0).cdf(np.inf) == 1.0
+
+
+_EXTREME_LAWS = (Pareto(2.0), Pareto(0.7, 3.0), SymPareto(0.5), Gamma(1.5, 2.0),
+                 Beta(2.0, 3.0), Uniform01(), MuAlpha(1.0))
+_EXTREME_POINTS = (0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-200, -1e-200,
+                   1e200, -1e200, 1e308, -1e308)
+# SHA-256 of the float64 values of cdf, pdf and (half-line laws, x >= 0)
+# truncated_alpha_moment at alpha 2, law by law and point by point, recorded
+# before the extreme-argument warnings were removed: the fix keeps the bits
+_EXTREME_DIGEST = "5f63e50eb372b0eecc7ab73482e5c9cfb3fb48e7bb3786290c5f0e6e888bf3cb"
+
+
+def test_law_methods_at_extreme_arguments():
+    # the Pareto moments of order alpha >= the Pareto order are infinite;
+    # Pareto(0.7, 3) overflows at 1e308 for real, so its warning is kept
+    vals = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in _EXTREME_LAWS:
+            half = law.support[0] >= 0.0
+            for x in _EXTREME_POINTS:
+                vals += [law.cdf(x), law.pdf(x)]
+                if half and x >= 0.0:
+                    if law == Pareto(0.7, 3.0) and x == 1e308:
+                        with np.errstate(over="ignore"):
+                            vals.append(law.truncated_alpha_moment(x, 2.0))
+                    else:
+                        vals.append(law.truncated_alpha_moment(x, 2.0))
+            assert law.cdf(np.inf) == 1.0
+            assert law.cdf(-np.inf) == 0.0
+            assert law.pdf(np.inf) == 0.0 and law.pdf(-np.inf) == 0.0
+            if half:
+                full = law.truncated_alpha_moment(np.inf, 2.0)
+                if isinstance(law, Pareto):
+                    assert full == np.inf
+                else:
+                    assert full == law.truncated_alpha_moment(1e308, 2.0)
+    vals = np.array(vals, dtype=float)
+    assert np.count_nonzero(~np.isfinite(vals)) == 1  # the Pareto(0.7, 3) moment at 1e308
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == _EXTREME_DIGEST
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nstep_gamma_cdf(2, 2.0, 1.5, 2.0, 1e308) == 1.0
+        assert MuAlpha(0.5).pdf(np.inf) == 0.0 and MuAlpha(0.5).pdf(-np.inf) == 0.0
+        assert MuAlpha(0.5).cdf(np.inf) == 1.0 and MuAlpha(0.5).cdf(-np.inf) == 0.0
 
 
 def test_mu1_ppf_inverts_cdf():

@@ -202,6 +202,27 @@ def test_scaled_mixture_steps_scale_exactly():
     assert np.array_equal(scaled.states, 2.0 * base.states)
 
 
+class _IdentityQuantile(Distribution):
+    """A user law given only by its support and quantile: uniform on [0, 1)."""
+
+    support = (0.0, 1.0)
+
+    def ppf(self, u):
+        return u
+
+
+@pytest.mark.parametrize("kind", ["kendall", "weak_kendall"])
+def test_law_with_a_quantile_is_a_step_law(kind):
+    # drawn through its ppf with one uniform, as Uniform01 is
+    for law, ref in ((_IdentityQuantile(), Uniform01()),
+                     (FiniteMixture(((0.5, Dirac(1.0)), (0.5, _IdentityQuantile()))),
+                      FiniteMixture(((0.5, Dirac(1.0)), (0.5, Uniform01()))))):
+        ours = simulate(WalkConfig(kind, 0.7, law, 6, 50, 3))
+        want = simulate(WalkConfig(kind, 0.7, ref, 6, 50, 3))
+        for field in ("states", "steps", "thetas", "switches"):
+            assert np.array_equal(getattr(ours, field), getattr(want, field))
+
+
 def test_config_rejects_law_without_block_sampler():
     class Exponential(Distribution):
         support = (0.0, np.inf)
