@@ -5,7 +5,8 @@ masses: :func:`kernel` returns that action as a law.  The two
 Kendall-type kinds map (delta_a, delta_b) to an atom plus a rescaled
 power tail, ``(1 - z^alpha) delta_v + z^alpha T_v Pareto(2 alpha)``
 (the weak kind symmetrizes both parts); the remaining kinds produce
-purely atomic laws.
+purely atomic laws.  Each kind owns its kernel draw: ``_transition`` maps
+``_draws`` uniforms to it, for :func:`kernel_sample` and the walk engine.
 
 Measure-level convolution is exposed through sampling
 (:func:`convolve_sample`), through exact kernel mixing for atomic laws
@@ -50,9 +51,14 @@ class Convolution:
 
     name: str = ""
     real_line: bool = False
+    _draws: int = 0
 
     def kernel(self, a: float, b: float) -> Distribution:
         raise NotImplementedError
+
+    def _transition(self, x, dx, *u):
+        """(draw, multiplier or None, switch or None) from ``_draws`` uniform arrays."""
+        raise ParameterError(f"unknown convolution kind {self!r}")
 
     def _check_points(self, a, b):
         """Reject NaN arguments, and negative ones for a half-line kind.
@@ -93,6 +99,7 @@ class Kendall(Convolution):
     alpha: float
     name = "kendall"
     real_line = False
+    _draws = 2
 
     def __post_init__(self):
         _check_positive("alpha", self.alpha)
@@ -100,6 +107,9 @@ class Kendall(Convolution):
     def kernel(self, a, b):
         self._check_points(a, b)
         return _kendall_kernel(self.alpha, a, b, Dirac, Pareto)
+
+    def _transition(self, x, dx, u_q, u_t):
+        return _kendall_transition(self.alpha, x, dx, u_q, u_t)
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,7 @@ class WeakKendall(Convolution):
     alpha: float
     name = "weak_kendall"
     real_line = True
+    _draws = 3
 
     def __post_init__(self):
         _check_positive("alpha", self.alpha, 1.0)
@@ -116,6 +127,9 @@ class WeakKendall(Convolution):
     def kernel(self, a, b):
         self._check_points(a, b)
         return _kendall_kernel(self.alpha, abs(a), abs(b), symmetrized_atom, SymPareto)
+
+    def _transition(self, x, dx, u_q, u_t, u_r):
+        return _weak_transition(self.alpha, x, dx, u_q, u_t, u_r)
 
 
 @dataclass(frozen=True)
@@ -128,6 +142,9 @@ class MaxConv(Convolution):
     def kernel(self, a, b):
         self._check_points(a, b)
         return Dirac(max(a, b))
+
+    def _transition(self, x, dx):
+        return np.maximum(x, dx), None, None
 
 
 @dataclass(frozen=True)
@@ -145,6 +162,9 @@ class AlphaConv(Convolution):
         self._check_points(a, b)
         return Dirac((a**self.alpha + b**self.alpha) ** (1.0 / self.alpha))
 
+    def _transition(self, x, dx):
+        return (x**self.alpha + dx**self.alpha) ** (1.0 / self.alpha), None, None
+
 
 @dataclass(frozen=True)
 class SymmetricConv(Convolution):
@@ -152,6 +172,7 @@ class SymmetricConv(Convolution):
 
     name = "symmetric_conv"
     real_line = False
+    _draws = 1
 
     def kernel(self, a, b):
         self._check_points(a, b)
@@ -159,6 +180,9 @@ class SymmetricConv(Convolution):
         if hi == lo:
             return Dirac(hi)
         return FiniteMixture(((0.5, Dirac(lo)), (0.5, Dirac(hi))))
+
+    def _transition(self, x, dx, u_r):
+        return np.where(u_r < 0.5, np.abs(x - dx), x + dx), None, None
 
 
 # Kind name -> constructor of alpha; the order keys the axiom suite's streams.
@@ -176,6 +200,8 @@ def kernel(kind: Convolution, a: float, b: float) -> Distribution:
     return kind.kernel(a, b)
 
 
+# Module-level names, called by the kinds through these globals, because
+# benchmarks/tracer.py times the transition layer by replacing them.
 def _kendall_transition(alpha, x, dx, u_q, u_t):
     """One Kendall kernel draw at (x, dx) >= 0 from switch and tail uniforms.
 
@@ -215,27 +241,14 @@ def _weak_transition(alpha, x, dx, u_q, u_t, u_r):
 def kernel_sample(kind: Convolution, x, y, gen):
     """Vectorized kernel draw at paired arguments (x_i, y_i).
 
-    The Kendall kinds draw switch, tail (and, weak kind, sign) uniform
-    blocks regardless of the switch outcome and hand them to the same
-    transition functions the walk engine uses.
+    ``x`` and ``y`` broadcast to one shape, and the kind's ``_draws``
+    uniform blocks of that shape come from one ``gen.random`` call, in the
+    order its ``_transition`` reads them (switch, tail, sign), whatever the
+    switch outcome.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     kind._check_points(x, y)
-    if isinstance(kind, Kendall):
-        u_q, u_t = gen.random(x.shape), gen.random(x.shape)
-        return _kendall_transition(kind.alpha, x, y, u_q, u_t)[0]
-    if isinstance(kind, WeakKendall):
-        u_q, u_t, u_r = gen.random(x.shape), gen.random(x.shape), gen.random(x.shape)
-        return _weak_transition(kind.alpha, x, y, u_q, u_t, u_r)[0]
-    if isinstance(kind, MaxConv):
-        return np.maximum(x, y)
-    if isinstance(kind, AlphaConv):
-        return (x**kind.alpha + y**kind.alpha) ** (1.0 / kind.alpha)
-    if isinstance(kind, SymmetricConv):
-        u_r = gen.random(x.shape)
-        return np.where(u_r < 0.5, np.abs(x - y), x + y)
-    raise ParameterError(f"unknown convolution kind {kind!r}")
+    return kind._transition(x, y, *gen.random((kind._draws,) + x.shape))[0]
 
 
 def convolve_sample(kind: Convolution, law1: Distribution, law2: Distribution,

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import closedforms
 from .convolution import (
@@ -266,9 +266,39 @@ class PowerLawEnvelope:
         object.__setattr__(self, "n0", _check_int("n0", self.n0, 2))
 
 
-def _binomial_band(p: float, m: int) -> float:
+# Per-check false-alarm level of the violation-rate gates: on correct code
+# each one fails with at most this probability.
+_FALSE_ALARM = 1e-6
+
+
+def _least_count(m: int, accept) -> int:
+    """Least k in [0, m] with ``accept(k)``, for ``accept`` monotone in k."""
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if accept(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _binomial_gate(p: float, m: int, exact: bool) -> float:
+    """Threshold on the violation rate of ``m`` paths at probability ``p``.
+
+    Against a bound (``exact=False``) the rate is gated at k/m, where k is
+    the exact binomial quantile with P(count > k) <= ``_FALSE_ALARM``
+    (``binom.isf``).  Against an exact probability |rate - p| is gated at
+    the wider half of the central interval that leaves ``_FALSE_ALARM / 2``
+    in each tail (``binom.interval``).
+    """
     p = min(max(p, 0.0), 1.0)
-    return 3.0 * math.sqrt(p * (1.0 - p) / m)
+    q = _FALSE_ALARM / 2 if exact else _FALSE_ALARM
+    hi = _least_count(m, lambda k: special.bdtrc(k, m, p) <= q)
+    if not exact:
+        return hi / m
+    lo = _least_count(m, lambda k: special.bdtr(k, m, p) >= q)
+    return max(p - lo / m, hi / m - p)
 
 
 def _dyadic_summability_check(inv_c, n0: int, horizon: int) -> CheckResult:
@@ -303,7 +333,8 @@ def envelope_check(ensemble: WalkEnsemble, spec) -> VerificationReport:
     Reports the per-path last violation index, the fraction of paths
     violating after n0 against a union bound, and per-n violation rates
     against their probabilities (closed-form for PowerLawEnvelope,
-    Markov-bound for EnvelopeSpec).
+    Markov-bound for EnvelopeSpec).  Every rate is gated by an exact
+    binomial threshold at false-alarm level ``_FALSE_ALARM`` per check.
     """
     cfg = ensemble.config
     horizon = cfg.horizon
@@ -360,14 +391,14 @@ def envelope_check(ensemble: WalkEnsemble, spec) -> VerificationReport:
     exact = isinstance(spec, PowerLawEnvelope)
     for j in rate_js:
         n, p, rate = int(ns[j]), float(per_n_prob[j]), float(viol[:, j].mean())
-        band = _binomial_band(p, m)
         if exact:
-            stat, thr = abs(rate - p), band
+            stat = abs(rate - p)
             detail = f"empirical {rate:.6f} vs exact {p:.6f} at {m} paths"
         else:
-            stat, thr = rate, p + band
+            stat = rate
             detail = f"empirical {rate:.6f} vs Markov bound {p:.6f}"
-        checks.append(_check(f"violation_rate_n{n}", stat, thr, detail=detail))
+        checks.append(_check(f"violation_rate_n{n}", stat, _binomial_gate(p, m, exact),
+                             detail=detail))
     any_viol = viol.any(axis=1)
     frac = float(any_viol.mean())
     last_index = np.where(
@@ -378,7 +409,7 @@ def envelope_check(ensemble: WalkEnsemble, spec) -> VerificationReport:
         _check(
             "any_violation_fraction",
             frac,
-            bound + _binomial_band(bound, m),
+            _binomial_gate(bound, m, exact=False),
             detail=(
                 f"paths with a violation in [{spec.n0}, {horizon}]: "
                 f"{int(any_viol.sum())}/{m}; max last-violation index "

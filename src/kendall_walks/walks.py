@@ -12,11 +12,11 @@ transition applies the kernel mechanics:
   the tail factor is symmetric, and when the switch stays off the atom is
   realized as ``v * u * R`` with ``R = +-1`` equiprobable.
 
-Both transitions live in :mod:`.convolution` and are called only by
-``simulate`` and ``kernel_sample``.  The step law owns its draws: each
-step takes a block of the law's ``_draws`` uniforms from the path stream,
-which the law's ``_from_uniforms`` maps to steps (see :mod:`.measures`).
-This module knows no law class.
+The kind owns each transition: it reads ``kind._draws`` uniforms, which
+``kind._transition`` maps to the next state, as in ``kernel_sample``.
+The step law owns its draws likewise: ``_from_uniforms`` maps a block of
+the law's ``_draws`` uniforms to steps (see :mod:`.measures`).  This
+module branches on no kind and knows no law class.
 
 Path ``m`` of a simulation draws exclusively from the stream
 ``(seed, stream_id=m)``; within a path the uniforms are consumed in a
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import (
+# the transitions are unused here but kept: benchmarks/tracer.py wraps them
+from .convolution import (  # noqa: F401
     Kendall,
     WeakKendall,
     _kendall_transition,
@@ -289,11 +290,10 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     return out
 
 
-def _simulate_chunk_quantile(cfg: WalkConfig, kdraws: int, lo: int, hi: int, out):
+def _simulate_chunk_quantile(cfg: WalkConfig, kind, kdraws: int, lo: int, hi: int, out):
     states, steps, thetas, switches = out
     n_steps = cfg.horizon
-    weak = cfg.convolution == "weak_kendall"
-    per_tr = kdraws + (3 if weak else 2)
+    per_tr = kdraws + kind._draws
     total = kdraws + (n_steps - 1) * per_tr
     u = _path_uniform_block(cfg.seed, lo, hi, total)
     sl = slice(lo, hi)
@@ -305,16 +305,8 @@ def _simulate_chunk_quantile(cfg: WalkConfig, kdraws: int, lo: int, hi: int, out
     x = dx
     for i in range(1, n_steps):
         dx = _block_sample(cfg.unit_step, u[:, col : col + kdraws])
-        col += kdraws
-        u_q = u[:, col]
-        u_t = u[:, col + 1]
-        if weak:
-            u_r = u[:, col + 2]
-            col += 3
-            x, mult, q = _weak_transition(cfg.alpha, x, dx, u_q, u_t, u_r)
-        else:
-            col += 2
-            x, mult, q = _kendall_transition(cfg.alpha, x, dx, u_q, u_t)
+        x, mult, q = kind._transition(x, dx, *u[:, col + kdraws : col + per_tr].T)
+        col += per_tr
         steps[sl, i] = dx
         states[sl, i + 1] = x
         thetas[sl, i - 1] = mult
@@ -354,8 +346,9 @@ def simulate(config: WalkConfig) -> WalkEnsemble:
     thetas = np.empty((m, max(n - 1, 0)), dtype=float)
     switches = np.zeros((m, max(n - 1, 0)), dtype=bool)
     out = (states, steps, thetas, switches)
+    kind = parse_convolution(config.convolution, config.alpha)
     kdraws = config.unit_step._draws
-    _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(config, kdraws, lo, hi, out))
+    _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(config, kind, kdraws, lo, hi, out))
     return WalkEnsemble(config=config, states=states, steps=steps,
                         thetas=thetas, switches=switches)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from kendall_walks import (
     AlphaConv,
+    Convolution,
     Dirac,
     Distribution,
     FiniteMixture,
@@ -163,6 +164,43 @@ def test_kernel_sample_dispatch_exact_kinds():
     sym = kernel_sample(SymmetricConv(), np.ones(4000), np.full(4000, 2.0), gen)
     assert set(np.unique(sym)) == {1.0, 3.0}
     assert abs(np.mean(sym == 3.0) - 0.5) < 3 * 0.5 / np.sqrt(4000)
+
+
+def test_kernel_sample_broadcasts_before_drawing():
+    # a scalar argument against an array takes one uniform per output,
+    # not one switch shared by every pair
+    n = 4000
+    gen = RngStream(12, 0).generator
+    sym = kernel_sample(SymmetricConv(), 1.0, np.full(n, 2.0), gen)
+    assert sym.shape == (n,)
+    assert abs(np.mean(sym == 3.0) - 0.5) < 3 * 0.5 / np.sqrt(n)
+    kend = kernel_sample(Kendall(1.0), np.ones(1), np.full(n, 2.0), gen)
+    assert abs(np.mean(kend > 2.0) - 0.5) < 3 * 0.5 / np.sqrt(n)
+
+
+@pytest.mark.parametrize(
+    "kind, draws",
+    [(Kendall(0.7), 2), (WeakKendall(0.5), 3), (MaxConv(), 0), (AlphaConv(2.0), 0),
+     (SymmetricConv(), 1)],
+)
+def test_kernel_sample_reads_the_kinds_draws(kind, draws):
+    # the kind owns its draw: kernel_sample takes exactly _draws uniform
+    # blocks, in order, and hands them to the kind's _transition
+    assert kind._draws == draws
+    x, y = np.array([0.5, 1.0, 3.0]), np.array([2.0, 1.0, 1.5])
+    gen, ref = RngStream(13, 0).generator, RngStream(13, 0).generator
+    got = kernel_sample(kind, x, y, gen)
+    u = [ref.random(3) for _ in range(draws)]
+    assert np.array_equal(got, kind._transition(x, y, *u)[0])
+    assert gen.random() == ref.random()
+
+
+def test_kernel_sample_rejects_a_kind_without_a_transition():
+    class Foreign(Convolution):
+        name = "foreign"
+
+    with pytest.raises(ParameterError, match="unknown convolution kind"):
+        kernel_sample(Foreign(), np.ones(2), np.ones(2), RngStream(14, 0).generator)
 
 
 def test_weak_transition_ties_take_first_sign():

@@ -1,10 +1,12 @@
 """Statistical gates: KS machinery, envelope checks, reports, suites."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from kendall_walks import (
     Dirac,
@@ -19,6 +21,7 @@ from kendall_walks import (
     WalkConfig,
     empirical_chf,
     envelope_check,
+    envelope_prob,
     ks_statistic,
     ks_two_sample,
     moment_check,
@@ -26,7 +29,7 @@ from kendall_walks import (
     simulate,
     symmetrized_atom,
 )
-from kendall_walks.verify import KS_COEFF, SUITES
+from kendall_walks.verify import DEFAULT_CONFIG, KS_COEFF, SUITES
 
 
 def test_ks_constant_sample_with_declared_atom_is_zero():
@@ -112,6 +115,65 @@ def test_envelope_check_power_law_passes():
     names = [c.name for c in report.checks]
     assert "violation_rate_n50" in names
     assert "any_violation_fraction" in names
+
+
+@pytest.mark.parametrize("offset", [21, 35])
+def test_envelope_suite_passes_where_a_normal_band_false_alarms(offset):
+    # correct code; a 3-sigma normal band failed the declared rates at
+    # +21 (4 violations in 10000 at n = 100) and the power rates at +35
+    report = run_verification("envelope", {"seed": DEFAULT_CONFIG["seed"] + offset})
+    assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+def _rate_gate_probabilities(r, n0, horizon):
+    # check name -> (violation probability, two-sided) of the default
+    # envelope suite's rate gates, computed apart from the suite
+    ns = np.arange(n0, horizon + 1)
+    power = envelope_prob(ns, r)
+    gates = {f"power_violation_rate_n{n}": (float(power[n - n0]), True) for n in (50, 100, 200)}
+    gates["power_any_violation_fraction"] = (min(float(power.sum()), 1.0), False)
+    for n in (50, 100, 150, 200):
+        gates[f"declared_violation_rate_n{n}"] = (1.0 / n**2, False)
+    gates["declared_any_violation_fraction"] = (min(float(np.sum(1.0 / ns**2.0)), 1.0), False)
+    return gates
+
+
+def test_envelope_rate_gates_have_exact_false_alarm_level():
+    # every rate gate rejects at most 1e-6 of the binomial law of its count,
+    # and accepting one count fewer on its binding side would reject more
+    level = 1e-6
+    report = run_verification("envelope")
+    m = report.sample_sizes["paths"]
+    gates = _rate_gate_probabilities(DEFAULT_CONFIG["r"], 50, DEFAULT_CONFIG["envelope_horizon"])
+    checks = {c.name: c for c in report.checks}
+    assert set(gates) <= set(checks)
+    k = np.arange(m + 1)
+    for name, (p, two_sided) in gates.items():
+        thr = checks[name].threshold
+        accepted = (np.abs(k / m - p) if two_sided else k / m) <= thr
+        lo, hi = int(k[accepted].min()), int(k[accepted].max())
+        assert np.array_equal(accepted, (k >= lo) & (k <= hi)), name
+        rejected = binom.cdf(lo - 1, m, p) + binom.sf(hi, m, p)
+        assert rejected <= level, (name, rejected)
+        upper = not two_sided or hi / m - p >= p - lo / m
+        tail = binom.sf(hi - 1, m, p) if upper else binom.cdf(lo, m, p)
+        assert tail > (level / 2 if two_sided else level), name
+
+
+def test_envelope_rate_gate_catches_inflated_states():
+    # the exact gate keeps its power: states 1.5 times too large fail at
+    # n = 50 (71 violations where at most 58 pass), twice too large at 100
+    cfg = DEFAULT_CONFIG
+    ens = simulate(WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0),
+                              cfg["envelope_horizon"], cfg["envelope_paths"], cfg["seed"]))
+    failed = {}
+    for factor in (1.0, 1.5, 2.0):
+        inflated = dataclasses.replace(ens, states=ens.states * factor)
+        report = envelope_check(inflated, PowerLawEnvelope(r=cfg["r"]))
+        failed[factor] = {c.name for c in report.checks if not c.passed}
+    assert failed[1.0] == set()
+    assert "violation_rate_n50" in failed[1.5]
+    assert {"violation_rate_n50", "violation_rate_n100"} <= failed[2.0]
 
 
 def test_envelope_check_trivial_envelope_never_violated():
@@ -221,10 +283,10 @@ _PINNED_REPORTS = {
 # quadrature and special functions feed the statistics) may need them
 # re-recorded.
 _REPORT_DIGESTS = {
-    "all": "87848d3d5a67386a09fa8c0ba3419b5ef3a30dea63da88da1ab41e69ca9f2ff1",
-    "envelope_h120": "3c940bd0a6a3406dca950d3bcd5c1aa8b8e1b0724130f0c3424571b6929de51e",
-    "power_law": "52eb67c8a1423ded2f12cabb98c26263e6131754446742bfb0a26e5721ebdad0",
-    "declared": "ef8b1f89cd5adb9283c4a84bfca036b687017768114d2d3f2dd638e5f0aa790d",
+    "all": "707af57e4a284f7cd9a7206a22997eaba4081d05d3a7653ad3af20437d364720",
+    "envelope_h120": "1355bea92c6accf4e642bd8fcb21e80cbabf52ef232fc69e0ca3a71ce63001f3",
+    "power_law": "40b3e3b8451728dd301dcc4207d84da2fb243badd5803909f79b4ebcf2172b5a",
+    "declared": "6792f27ded3d694d18585b951af3e02ab2c68a09b4698ff8a7f68ec28c97b7fc",
 }
 
 

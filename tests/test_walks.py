@@ -130,6 +130,27 @@ def test_weak_engine_matches_scalar_replay():
             x = ens.states[m, i + 1]
 
 
+@pytest.mark.parametrize(
+    "kind, alpha, law, law_at_one",
+    [("kendall", a, Dirac(1.0), Dirac(1.0)) for a in (0.3, 0.7, 1.5)]
+    + [("kendall", a, Pareto(1.5), Pareto(1.5 / a)) for a in (0.3, 0.7, 1.5)]
+    + [("weak_kendall", a, symmetrized_atom(1.0), symmetrized_atom(1.0)) for a in (0.3, 0.7)]
+    + [("weak_kendall", a, SymPareto(1.5), SymPareto(1.5 / a)) for a in (0.3, 0.7)],
+)
+def test_walks_are_power_equivariant(kind, alpha, law, law_at_one):
+    # an oracle for the transitions at alpha != 1: with the same seed,
+    # X_n(alpha, S) = sign * |X_n(1, S^alpha)|^(1/alpha) path by path, since
+    # the switch tests z^alpha and a Pareto(2 alpha) quantile to the power
+    # alpha is the Pareto(2) quantile; law_at_one is the law of S^alpha
+    # drawn from the same uniforms
+    got = simulate(WalkConfig(kind, alpha, law, 30, 2000, 41))
+    ref = simulate(WalkConfig(kind, 1.0, law_at_one, 30, 2000, 41))
+    want = np.sign(ref.states) * np.abs(ref.states) ** (1.0 / alpha)
+    assert np.all(np.isfinite(want))
+    assert np.allclose(got.states, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got.switches, ref.switches)
+
+
 _DIGEST_LAWS = {
     "dirac": Dirac(1.0),
     "pareto": Pareto(2.0),
