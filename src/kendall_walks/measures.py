@@ -168,9 +168,11 @@ def _check_positive(name, value, upper=math.inf):
 
 def _check_int(name, value, least=None):
     """Return ``value`` as an int; raise ParameterError unless it is an
-    integer (NaN, inf and non-numbers are not) that is at least ``least``."""
+    integer (NaN, inf, booleans and non-numbers are not) that is at least
+    ``least``."""
     try:
-        ok = int(value) == value and (least is None or value >= least)
+        ok = (not isinstance(value, (bool, np.bool_)) and int(value) == value
+              and (least is None or value >= least))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -519,14 +521,11 @@ def _mu1_proposals(gen, k):
     u_acc = gen.random(k)
     core = u_branch < 0.5
     sign = np.where(u_branch < 0.75, 1.0, -1.0)
-    x_core = -2.0 + 4.0 * u_pos
-    x_tail = sign * 2.0 / (1.0 - u_pos)
-    x = np.where(core, x_core, x_tail)
-    ratio_core = 2.0 * (1.0 - np.cos(x_core)) / np.where(np.abs(x_core) < 1e-9, 1.0, x_core) ** 2
-    ratio_core = np.where(np.abs(x_core) < 1e-9, 1.0, ratio_core)
-    ratio_tail = 0.5 * (1.0 - np.cos(x_tail))
-    accept = np.where(core, u_acc < ratio_core, u_acc < ratio_tail)
-    return x, accept
+    x = np.where(core, -2.0 + 4.0 * u_pos, sign * 2.0 / (1.0 - u_pos))
+    one_minus_cos = 1.0 - np.cos(x)
+    tiny = np.abs(x) < 1e-9
+    ratio_core = np.where(tiny, 1.0, 2.0 * one_minus_cos / np.where(tiny, 1.0, x) ** 2)
+    return x, u_acc < np.where(core, ratio_core, 0.5 * one_minus_cos)
 
 
 def _sample_mu1(gen, size):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
@@ -245,10 +246,36 @@ class EnvelopeSpec:
     kappa: float
     n0: int
 
+    # the per-n probabilities are Markov bounds, gated one-sided
+    exact = False
+
     def __post_init__(self):
         if not (0.0 < self.kappa <= 2.0):
             raise ParameterError(f"kappa must lie in (0, 2], got {self.kappa!r}")
         object.__setattr__(self, "n0", _check_int("n0", self.n0, 1))
+
+    def _violations(self, abs_states, ns, alpha):
+        """(premise checks, violation mask, per-n probabilities, gated columns)."""
+        a = np.array([float(self.a_n(int(n))) for n in ns])
+        b = np.array([float(self.b_n(int(n))) for n in ns])
+        c = np.array([float(self.c_n(int(n))) for n in ns])
+        d = np.array([float(self.d_n(int(n))) for n in ns])
+        if np.any(c <= 0):
+            raise ParameterError("c_n must be positive")
+        checks = [
+            _check("moment_premise", np.max(d / (self.kappa * b)), 1.0 + 1e-12,
+                   detail="declared d_n <= kappa b_n on the checked range"),
+            _check("exponent_monotone",
+                   max(np.max(np.diff(a) * -1.0, initial=0.0), np.max(a - self.kappa)),
+                   1e-12, detail="a_n nondecreasing and bounded by kappa"),
+            _dyadic_summability_check(1.0 / c, self.n0, int(ns[-1])),
+        ]
+        with np.errstate(over="ignore"):
+            thresholds = (self.kappa * c * b) ** (1.0 / a)
+        viol = abs_states > thresholds
+        per_n_prob = np.minimum(1.0 / c, 1.0)
+        rate_js = np.unique(np.linspace(0, ns.size - 1, 4).astype(int))
+        return checks, viol, per_n_prob, rate_js
 
 
 @dataclass(frozen=True)
@@ -260,10 +287,25 @@ class PowerLawEnvelope:
     n0: int = 50
     check_ns: tuple = (50, 100, 200)
 
+    # the per-n probabilities are exact, gated two-sided
+    exact = True
+
     def __post_init__(self):
         if not (self.r > 0.5):
             raise ParameterError(f"r must exceed 1/2, got {self.r!r}")
         object.__setattr__(self, "n0", _check_int("n0", self.n0, 2))
+
+    def _violations(self, abs_states, ns, alpha):
+        """(no premise checks, violation mask, per-n probabilities, gated columns)."""
+        horizon = int(ns[-1])
+        rate_js = [n - self.n0 for n in self.check_ns if self.n0 <= n <= horizon]
+        if not rate_js:
+            raise ParameterError(f"no check_ns fall inside [{self.n0}, {horizon}]")
+        # compare |X|^alpha itself: the 1/alpha root of the threshold can
+        # flip a comparison at rounding
+        viol = abs_states ** alpha > ns ** (self.r + 1.0) / np.log(ns)
+        per_n_prob = np.atleast_1d(closedforms.envelope_prob(ns, self.r))
+        return [], viol, per_n_prob, rate_js
 
 
 # Per-check false-alarm level of the violation-rate gates: on correct code
@@ -345,66 +387,23 @@ def envelope_check(ensemble: WalkEnsemble, spec) -> VerificationReport:
     ns = np.arange(spec.n0, horizon + 1)
     m = len(ensemble)
     abs_states = np.abs(ensemble.states[:, spec.n0 : horizon + 1])
-    checks = []
-    if isinstance(spec, PowerLawEnvelope):
-        thresholds = ns ** (spec.r + 1.0) / np.log(ns)
-        viol = abs_states ** cfg.alpha > thresholds
-        per_n_prob = np.atleast_1d(closedforms.envelope_prob(ns, spec.r))
-        rate_js = [n - spec.n0 for n in spec.check_ns if spec.n0 <= n <= horizon]
-        if not rate_js:
-            raise ParameterError(
-                f"no check_ns fall inside [{spec.n0}, {horizon}]"
-            )
-        union = float(np.minimum(per_n_prob, 1.0).sum())
-    else:
-        a = np.array([float(spec.a_n(int(n))) for n in ns])
-        b = np.array([float(spec.b_n(int(n))) for n in ns])
-        c = np.array([float(spec.c_n(int(n))) for n in ns])
-        d = np.array([float(spec.d_n(int(n))) for n in ns])
-        if np.any(c <= 0):
-            raise ParameterError("c_n must be positive")
-        checks.append(
-            _check(
-                "moment_premise",
-                np.max(d / (spec.kappa * b)),
-                1.0 + 1e-12,
-                detail="declared d_n <= kappa b_n on the checked range",
-            )
-        )
-        checks.append(
-            _check(
-                "exponent_monotone",
-                max(np.max(np.diff(a) * -1.0, initial=0.0),
-                    np.max(a - spec.kappa)),
-                1e-12,
-                detail="a_n nondecreasing and bounded by kappa",
-            )
-        )
-        checks.append(_dyadic_summability_check(1.0 / c, spec.n0, horizon))
-        with np.errstate(over="ignore"):
-            thresholds = (spec.kappa * c * b) ** (1.0 / a)
-        viol = abs_states > thresholds
-        per_n_prob = np.minimum(1.0 / c, 1.0)
-        rate_js = np.unique(np.linspace(0, ns.size - 1, 4).astype(int))
-        union = float(per_n_prob.sum())
-    # two-sided against the exact law, one-sided against the Markov bound
-    exact = isinstance(spec, PowerLawEnvelope)
+    checks, viol, per_n_prob, rate_js = spec._violations(abs_states, ns, cfg.alpha)
     for j in rate_js:
         n, p, rate = int(ns[j]), float(per_n_prob[j]), float(viol[:, j].mean())
-        if exact:
+        if spec.exact:
             stat = abs(rate - p)
             detail = f"empirical {rate:.6f} vs exact {p:.6f} at {m} paths"
         else:
             stat = rate
             detail = f"empirical {rate:.6f} vs Markov bound {p:.6f}"
-        checks.append(_check(f"violation_rate_n{n}", stat, _binomial_gate(p, m, exact),
-                             detail=detail))
+        checks.append(_check(f"violation_rate_n{n}", stat,
+                             _binomial_gate(p, m, spec.exact), detail=detail))
     any_viol = viol.any(axis=1)
     frac = float(any_viol.mean())
     last_index = np.where(
         any_viol, spec.n0 + (viol.shape[1] - 1) - np.argmax(viol[:, ::-1], axis=1), -1
     )
-    bound = min(union, 1.0)
+    bound = min(float(np.minimum(per_n_prob, 1.0).sum()), 1.0)
     checks.append(
         _check(
             "any_violation_fraction",
@@ -499,6 +498,8 @@ DEFAULT_CONFIG = {
 
 
 def _merged(config) -> dict:
+    if config is not None and not isinstance(config, Mapping):
+        raise ParameterError(f"a verify config must be a mapping, got {config!r}")
     cfg = dict(DEFAULT_CONFIG)
     if config:
         unknown = set(config) - set(cfg)

@@ -18,6 +18,7 @@ from kendall_walks import (
     SymPareto,
     Uniform01,
     VerificationReport,
+    run_verification,
 )
 from kendall_walks import cli
 from kendall_walks.cli import format_dist, parse_dist, run
@@ -198,6 +199,15 @@ def test_verify_config_file(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_verify_all_report_matches_library(tmp_path):
+    small = {"samples": 2000, "paths": 2000, "envelope_paths": 400, "seed": 7}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "all", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == run_verification("all", small).to_json()
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert run(["simulate", "--alpha", "-1", "--out", "x.csv"]) == 2
     assert run(["nstep", "--grid", "junk", "--out", "x.csv"]) == 2
@@ -214,6 +224,10 @@ def test_usage_errors_exit_two(tmp_path):
     config = tmp_path / "inf.json"
     config.write_text(json.dumps({"samples": float("inf")}))
     assert run(["verify", "--suite", "ks", "--config", str(config)]) == 2
+    # so is a config file that does not hold a JSON object
+    for text in ("5", "[]"):
+        config.write_text(text)
+        assert run(["verify", "--suite", "ks", "--config", str(config)]) == 2
 
 
 def test_help_exits_zero(capsys):

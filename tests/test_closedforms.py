@@ -309,8 +309,8 @@ def test_parameter_validation():
         envelope_prob(10, 0.5)
     with pytest.raises(ParameterError):
         envelope_prob(0, 1.0)
-    # integer arguments: NaN, inf and non-integral values are rejected
-    for bad in (np.nan, np.inf, 2.5, "3"):
+    # integer arguments: NaN, inf, booleans and non-integral values are rejected
+    for bad in (np.nan, np.inf, 2.5, "3", True, np.True_):
         with pytest.raises(ParameterError):
             nstep_delta1_cdf(bad, 1.0, 2.0)
         with pytest.raises(ParameterError):

@@ -29,7 +29,7 @@ from kendall_walks import (
     simulate,
     symmetrized_atom,
 )
-from kendall_walks.verify import DEFAULT_CONFIG, KS_COEFF, SUITES
+from kendall_walks.verify import DEFAULT_CONFIG, KS_COEFF, SUITES, _merged
 
 
 def test_ks_constant_sample_with_declared_atom_is_zero():
@@ -303,9 +303,14 @@ def test_run_verification_config_handling():
         run_verification("ks", {"not_a_key": 1})
     with pytest.raises(ParameterError):
         run_verification("ks", {"samples": -5})
-    for bad in (float("inf"), float("nan"), 2.5, "100", None):
+    for bad in (float("inf"), float("nan"), 2.5, "100", None, True, np.True_):
         with pytest.raises(ParameterError):
             run_verification("ks", {"samples": bad})
+    # a config is a mapping or None (JSON null), which keeps the defaults
+    for bad in (5, [], 0, "", False, [("samples", 100)]):
+        with pytest.raises(ParameterError):
+            run_verification("ks", bad)
+    assert _merged(None) == _merged({}) == DEFAULT_CONFIG
     # the suites fix their own tail indices; alpha is not a config key
     with pytest.raises(ParameterError):
         run_verification("ks", {"alpha": 0.3})

@@ -373,7 +373,8 @@ def test_config_validation():
             with pytest.raises(ParameterError):
                 WalkConfig(kind, alpha, Dirac(1.0), 3, 10, 0)
     for horizon, paths, seed in ((np.inf, 10, 0), (3, np.nan, 0), (3, 10, 2.5),
-                                 (3, 10, np.inf), (2.5, 10, 0), (3, "10", 0)):
+                                 (3, 10, np.inf), (2.5, 10, 0), (3, "10", 0),
+                                 (True, True, False), (3, np.True_, 0), (3, 10, False)):
         with pytest.raises(ParameterError):
             WalkConfig("kendall", 1.0, Dirac(1.0), horizon, paths, seed)
     cfg = WalkConfig(" Weak-Kendall", 1.0, symmetrized_atom(1.0), 3, 10, 0)
