@@ -18,7 +18,8 @@ Distribution specs use a small grammar: ``dirac:<a>``, ``pareto:<s>``,
 sum to 1; mixtures do not nest).
 
 Exit status: 0 success, 1 verification failure, 2 usage or domain error.
-Every numeric flag is range-validated before any computation starts, and
+Flags are only parsed here; the library range-checks every value (a
+``ParameterError``, exit status 2) before any computation starts, and
 identical invocations with identical seeds emit byte-identical files
 regardless of ``KENDALL_WALKS_THREADS``.  Reals in CSV output use full
 decimal round-trip formatting.
@@ -147,33 +148,6 @@ def format_dist(law: Distribution) -> str:
             f"{float(w)!r}*{_format_simple(comp)}" for w, comp in law.components
         )
     return _format_simple(law)
-
-
-def _int_at_least(least: int):
-    """argparse type: an integer that is at least ``least``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < least:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {least}, got {value}"
-            )
-        return value
-
-    return parse
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0 or not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
-    return value
 
 
 def _grid(text: str) -> np.ndarray:
@@ -314,20 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate trajectories to CSV")
     sim.add_argument("--conv", choices=("kendall", "weak-kendall"),
                      default="kendall", help="kernel kind")
-    sim.add_argument("--alpha", type=_positive_float, default=1.0,
+    sim.add_argument("--alpha", type=float, default=1.0,
                      help="tail index (weak-kendall needs alpha <= 1)")
     sim.add_argument("--step", type=_dist, default="dirac:1",
                      help="step law spec, e.g. dirac:1 or mix:0.5*dirac:1+0.5*pareto:2")
-    sim.add_argument("--n", type=_int_at_least(1), default=10, help="horizon")
-    sim.add_argument("--paths", type=_int_at_least(1), default=100)
-    sim.add_argument("--seed", type=_int_at_least(0), default=0)
+    sim.add_argument("--n", type=int, default=10, help="horizon")
+    sim.add_argument("--paths", type=int, default=100)
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=_cmd_simulate)
 
     nst = sub.add_parser("nstep", help="exact n-step CDF/pdf table to CSV")
     nst.add_argument("--step", type=_dist, default="dirac:1")
-    nst.add_argument("--alpha", type=_positive_float, default=1.0)
-    nst.add_argument("--n", type=_int_at_least(1), default=2)
+    nst.add_argument("--alpha", type=float, default=1.0)
+    nst.add_argument("--n", type=int, default=2)
     nst.add_argument("--grid", type=_grid, required=True, help="lo:hi:count")
     nst.add_argument("--out", required=True)
     nst.set_defaults(func=_cmd_nstep)
@@ -343,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("transform", help="transform evaluation/inversion table")
     tr.add_argument("--step", type=_dist, default="dirac:1")
-    tr.add_argument("--alpha", type=_positive_float, default=1.0)
+    tr.add_argument("--alpha", type=float, default=1.0)
     tr.add_argument("--grid", type=_grid, required=True, help="lo:hi:count (lo > 0)")
     tr.add_argument("--out", required=True)
     tr.set_defaults(func=_cmd_transform)

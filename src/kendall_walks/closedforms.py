@@ -12,6 +12,7 @@ events refer to the unit-atom walk at tail index alpha = 1.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy import integrate, special
@@ -36,7 +37,6 @@ __all__ = [
     "transience_partial_sum",
     "increment_joint_prob",
     "mu1_nfold_pdf_quadrature",
-    "CLOSED_FORMS",
 ]
 
 
@@ -363,6 +363,13 @@ def _log1p_minus_x(x):
     return np.where(small, xs * xs * acc, np.log1p(x) - x)
 
 
+def _check_envelope_r(r):
+    """Raise ParameterError unless the envelope exponent ``r`` is a finite
+    real number (not a bool) above 1/2, the summability range."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.5 < r < math.inf:
+        raise ParameterError(f"r must be a finite real number above 1/2, got {r!r}")
+
+
 def envelope_prob(n, r: float):
     """P(|X_n|^alpha > n^(r+1)/ln n) for the symmetrized unit-atom walk.
 
@@ -376,8 +383,7 @@ def envelope_prob(n, r: float):
     clamps to 1; n = 1 gives 0.  Requires r > 1/2 (the summability
     range).
     """
-    if not (r > 0.5):
-        raise ParameterError(f"r must exceed 1/2, got {r!r}")
+    _check_envelope_r(r)
     for v in np.ravel(n):
         _check_int("n", v, 1)
     arr, scalar = _as_array(n, ndmin=1)
@@ -389,20 +395,3 @@ def envelope_prob(n, r: float):
     out = np.where(small, val, 1.0)
     out = np.where(arr == 1.0, 0.0, out)
     return _ret(out, scalar)
-
-
-CLOSED_FORMS = {
-    "nstep_delta1_cdf": nstep_delta1_cdf,
-    "nstep_delta1_pdf": nstep_delta1_pdf,
-    "nstep_uniform_cdf": nstep_uniform_cdf,
-    "nstep_beta_cdf": nstep_beta_cdf,
-    "nstep_gamma_cdf": nstep_gamma_cdf,
-    "sym_nstep_pdf": sym_nstep_pdf,
-    "increment_cdf": increment_cdf,
-    "joint_density": joint_density,
-    "atom_prob": atom_prob,
-    "mixture_power_pdf": mixture_power_pdf,
-    "mu1_nfold_pdf": mu1_nfold_pdf,
-    "transience_sum": transience_sum,
-    "envelope_prob": envelope_prob,
-}

@@ -59,6 +59,16 @@ def philox_key(seed: int, stream_id: int) -> int:
     return ((int(seed) & _U64) << 64) | (int(stream_id) & _U64)
 
 
+def _check_seed(name, value) -> int:
+    """Return ``value`` as an int; raise ParameterError unless it is an
+    integer in [0, 2^64), the range on which ``philox_key`` is injective:
+    a seed outside it would alias the seed it equals mod 2^64."""
+    seed = _check_int(name, value)
+    if not 0 <= seed <= _U64:
+        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return seed
+
+
 class RngStream:
     """Reproducible random stream keyed by ``(seed, stream_id)``."""
 
@@ -125,13 +135,6 @@ class Distribution:
     def atoms(self) -> tuple[tuple[float, float], ...]:
         """(location, mass) pairs of the discrete part."""
         return ()
-
-    def atom_mass(self, x) -> float:
-        m = 0.0
-        for loc, w in self.atoms():
-            if loc == x:
-                m += w
-        return m
 
     def cdf_left(self, x):
         """Left limit of the CDF at x."""

@@ -47,6 +47,7 @@ from .measures import (
     SymPareto,
     Uniform01,
     _check_int,
+    _check_seed,
     sample_mu_alpha,
     scale_law,
     symmetrized_atom,
@@ -291,9 +292,10 @@ class PowerLawEnvelope:
     exact = True
 
     def __post_init__(self):
-        if not (self.r > 0.5):
-            raise ParameterError(f"r must exceed 1/2, got {self.r!r}")
+        closedforms._check_envelope_r(self.r)
         object.__setattr__(self, "n0", _check_int("n0", self.n0, 2))
+        object.__setattr__(self, "check_ns",
+                           tuple(_check_int("check_ns entry", n) for n in self.check_ns))
 
     def _violations(self, abs_states, ns, alpha):
         """(no premise checks, violation mask, per-n probabilities, gated columns)."""
@@ -444,12 +446,16 @@ def _alpha_moment_quad(n: int, alpha: float) -> float:
     return val
 
 
-def moment_check(ensemble: WalkEnsemble, ns=None, tol: float = 1e-8) -> VerificationReport:
+# Tolerance of every alpha-moment gate: |quadrature moment - n| <= _MOMENT_TOL.
+_MOMENT_TOL = 1e-8
+
+
+def moment_check(ensemble: WalkEnsemble, ns=None) -> VerificationReport:
     """Gate: the quadrature alpha-moment of the n-step closed-form density
-    equals n within ``tol``.  The Monte Carlo moment of the supplied paths
-    is reported as a trimmed-mean diagnostic only: the 2 alpha-moment
-    diverges logarithmically, so the plain MC estimator has infinite
-    variance and is not a pass/fail gate.
+    equals n within ``_MOMENT_TOL``.  The Monte Carlo moment of the
+    supplied paths is reported as a trimmed-mean diagnostic only: the 2
+    alpha-moment diverges logarithmically, so the plain MC estimator has
+    infinite variance and is not a pass/fail gate.
 
     Requires a unit-atom step law (delta_1, or its symmetrization for
     the weak walk).
@@ -477,7 +483,7 @@ def moment_check(ensemble: WalkEnsemble, ns=None, tol: float = 1e-8) -> Verifica
                 f"MC trimmed mean {trimmed:.4f} (top 1% removed; "
                 "infinite-variance estimator, diagnostic only)"
             )
-        checks.append(_check(f"alpha_moment_n{n}", abs(quad_val - n), tol, detail))
+        checks.append(_check(f"alpha_moment_n{n}", abs(quad_val - n), _MOMENT_TOL, detail))
     return VerificationReport(
         suite="moments",
         seed=cfg.seed,
@@ -490,11 +496,13 @@ DEFAULT_CONFIG = {
     "seed": 20260816,
     "samples": 200_000,
     "paths": 200_000,
-    "horizon": 5,
-    "r": 1.0,
     "envelope_paths": 10_000,
-    "envelope_horizon": 200,
 }
+# Walk horizon of the ks unit-step case and of the moments suite; the
+# envelope suite's exponent r and horizon.
+_HORIZON = 5
+_ENVELOPE_R = 1.0
+_ENVELOPE_HORIZON = 200
 
 
 def _merged(config) -> dict:
@@ -506,8 +514,8 @@ def _merged(config) -> dict:
         if unknown:
             raise ParameterError(f"unknown verify config keys {sorted(unknown)!r}")
         cfg.update(config)
-    for key in ("seed", "samples", "paths", "horizon", "envelope_paths",
-                "envelope_horizon"):
+    cfg["seed"] = _check_seed("config 'seed'", cfg["seed"])
+    for key in ("samples", "paths", "envelope_paths"):
         cfg[key] = _check_int(f"config {key!r}", cfg[key], 1)
     return cfg
 
@@ -517,11 +525,10 @@ def run_ks_suite(config=None) -> VerificationReport:
     cfg = _merged(config)
     seed, m = cfg["seed"], cfg["samples"]
     thr = 3.0 * KS_COEFF / math.sqrt(m)
-    horizon = cfg["horizon"]
     # (name, step law, horizon, checked ns, n-step CDF at alpha 1); the
     # case index is the seed offset
     cases = (
-        ("unit_step", Dirac(1.0), horizon, range(2, horizon + 1),
+        ("unit_step", Dirac(1.0), _HORIZON, range(2, _HORIZON + 1),
          lambda n, x: closedforms.nstep_delta1_cdf(n, 1.0, x)),
         ("uniform_step", Uniform01(), 2, (2,),
          lambda n, x: closedforms.nstep_uniform_cdf(n, 1.0, x)),
@@ -537,7 +544,7 @@ def run_ks_suite(config=None) -> VerificationReport:
     return VerificationReport(
         suite="ks",
         seed=seed,
-        sample_sizes={"samples": m, "horizon": cfg["horizon"]},
+        sample_sizes={"samples": m, "horizon": _HORIZON},
         checks=tuple(checks),
     )
 
@@ -547,18 +554,19 @@ def run_moments_suite(config=None) -> VerificationReport:
     cfg = _merged(config)
     seed = cfg["seed"]
     ens = simulate(
-        WalkConfig("kendall", 1.0, Dirac(1.0), cfg["horizon"], cfg["paths"], seed)
+        WalkConfig("kendall", 1.0, Dirac(1.0), _HORIZON, cfg["paths"], seed)
     )
     base = moment_check(ens, ns=range(1, 21))
     extra = tuple(
-        _check(f"alpha_moment_a{alpha}_n{n}", abs(_alpha_moment_quad(n, alpha) - n), 1e-8)
+        _check(f"alpha_moment_a{alpha}_n{n}", abs(_alpha_moment_quad(n, alpha) - n),
+               _MOMENT_TOL)
         for alpha in (0.5, 2.0)
         for n in (2, 5, 10, 20)
     )
     return VerificationReport(
         suite="moments",
         seed=seed,
-        sample_sizes={"paths": cfg["paths"], "horizon": cfg["horizon"]},
+        sample_sizes={"paths": cfg["paths"], "horizon": _HORIZON},
         checks=base.checks + extra,
     )
 
@@ -614,11 +622,11 @@ def run_envelope_suite(config=None) -> VerificationReport:
     Borel-Cantelli checker on a declared quadratic envelope."""
     cfg = _merged(config)
     seed = cfg["seed"]
-    m, horizon = cfg["envelope_paths"], cfg["envelope_horizon"]
+    m = cfg["envelope_paths"]
     ens = simulate(
-        WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0), horizon, m, seed)
+        WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0), _ENVELOPE_HORIZON, m, seed)
     )
-    power = envelope_check(ens, PowerLawEnvelope(r=cfg["r"]))
+    power = envelope_check(ens, PowerLawEnvelope(r=_ENVELOPE_R))
     declared = envelope_check(
         ens,
         EnvelopeSpec(
@@ -633,7 +641,7 @@ def run_envelope_suite(config=None) -> VerificationReport:
     return VerificationReport(
         suite="envelope",
         seed=seed,
-        sample_sizes={"paths": m, "horizon": horizon},
+        sample_sizes={"paths": m, "horizon": _ENVELOPE_HORIZON},
         checks=_prefixed("power_", power.checks) + _prefixed("declared_", declared.checks),
     )
 

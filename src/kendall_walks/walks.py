@@ -55,7 +55,14 @@ from .convolution import (  # noqa: F401
     parse_convolution,
 )
 from .errors import ParameterError, ResourceError
-from .measures import Distribution, RngStream, _check_int, philox_key, sample_mu_alpha
+from .measures import (
+    Distribution,
+    RngStream,
+    _check_int,
+    _check_seed,
+    philox_key,
+    sample_mu_alpha,
+)
 
 _U64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -124,7 +131,7 @@ class WalkConfig:
         object.__setattr__(self, "convolution", kind.name)
         object.__setattr__(self, "horizon", _check_int("horizon", self.horizon, 1))
         object.__setattr__(self, "paths", _check_int("paths", self.paths, 1))
-        object.__setattr__(self, "seed", _check_int("seed", self.seed))
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if not isinstance(self.unit_step, Distribution):
             raise ParameterError(f"unit_step must be a Distribution, got {self.unit_step!r}")
         self.unit_step._draws  # raises ParameterError for a law without a block sampler
@@ -322,8 +329,8 @@ def _check_memory(paths: int, horizon: int):
         )
 
 
-def _run_chunks(n_items: int, task, chunk=_CHUNK):
-    ranges = [(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
+def _run_chunks(n_items: int, task):
+    ranges = [(lo, min(lo + _CHUNK, n_items)) for lo in range(0, n_items, _CHUNK)]
     workers = min(worker_count(), len(ranges))
     if workers <= 1:
         for lo, hi in ranges:

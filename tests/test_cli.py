@@ -217,6 +217,8 @@ def test_usage_errors_exit_two(tmp_path):
     assert run(["simulate", "--n", "0", "--out", "x.csv"]) == 2
     assert run(["simulate", "--paths", "2.5", "--out", "x.csv"]) == 2
     assert run(["simulate", "--seed", "-1", "--out", "x.csv"]) == 2
+    # a seed of 2^64 or more would alias the seed it equals mod 2^64
+    assert run(["simulate", "--seed", str(2**64 + 7), "--out", "x.csv"]) == 2
     out = tmp_path / "w.csv"
     assert run(["simulate", "--conv", "weak-kendall", "--alpha", "1.5",
                 "--paths", "5", "--out", str(out)]) == 2

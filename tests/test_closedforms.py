@@ -28,10 +28,7 @@ from kendall_walks import (
     transience_partial_sum,
     transience_sum,
 )
-from kendall_walks.closedforms import (
-    CLOSED_FORMS,
-    mu1_nfold_pdf_quadrature,
-)
+from kendall_walks.closedforms import mu1_nfold_pdf_quadrature
 
 ns = st.integers(min_value=2, max_value=12)
 alphas = st.sampled_from([0.5, 1.0, 2.0])
@@ -284,12 +281,6 @@ def test_envelope_summability_integral():
     # sum_n n^(-2r) ln^2 n converges like int_1^inf x^-2 ln^2 x dx = 2
     val, _ = integrate.quad(lambda x: x**-2 * np.log(x) ** 2, 1.0, np.inf)
     assert abs(val - 2.0) < 1e-9
-
-
-def test_registry_contents():
-    assert len(CLOSED_FORMS) == 13
-    for name, fn in CLOSED_FORMS.items():
-        assert callable(fn), name
 
 
 def test_parameter_validation():

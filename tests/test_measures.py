@@ -96,8 +96,6 @@ def test_samplers_match_cdfs():
 def test_dirac_basics():
     law = Dirac(2.0)
     assert law.atoms() == ((2.0, 1.0),)
-    assert law.atom_mass(2.0) == 1.0
-    assert law.atom_mass(1.0) == 0.0
     assert law.cdf(1.9) == 0.0
     assert law.cdf(2.0) == 1.0
     assert law.cdf_left(2.0) == 0.0

@@ -29,7 +29,7 @@ from kendall_walks import (
     simulate,
     symmetrized_atom,
 )
-from kendall_walks.verify import DEFAULT_CONFIG, KS_COEFF, SUITES, _merged
+from kendall_walks.verify import DEFAULT_CONFIG, KS_COEFF, SUITES, _merged, _prefixed
 
 
 def test_ks_constant_sample_with_declared_atom_is_zero():
@@ -106,6 +106,16 @@ def test_envelope_spec_validation():
             EnvelopeSpec(one, one, one, one, kappa=1.0, n0=bad)
         with pytest.raises(ParameterError):
             PowerLawEnvelope(r=1.0, n0=bad)
+    # one rule for the exponent of the envelope and of its probability: a
+    # finite real number above 1/2
+    for bad in ("1", True, np.True_, float("inf"), float("nan"), None):
+        with pytest.raises(ParameterError):
+            PowerLawEnvelope(r=bad)
+        with pytest.raises(ParameterError):
+            envelope_prob(60, bad)
+    for bad in ((55.5,), ("55",), (None,)):
+        with pytest.raises(ParameterError):
+            PowerLawEnvelope(r=1.0, check_ns=bad)
 
 
 def test_envelope_check_power_law_passes():
@@ -144,7 +154,7 @@ def test_envelope_rate_gates_have_exact_false_alarm_level():
     level = 1e-6
     report = run_verification("envelope")
     m = report.sample_sizes["paths"]
-    gates = _rate_gate_probabilities(DEFAULT_CONFIG["r"], 50, DEFAULT_CONFIG["envelope_horizon"])
+    gates = _rate_gate_probabilities(1.0, 50, 200)
     checks = {c.name: c for c in report.checks}
     assert set(gates) <= set(checks)
     k = np.arange(m + 1)
@@ -165,11 +175,11 @@ def test_envelope_rate_gate_catches_inflated_states():
     # n = 50 (71 violations where at most 58 pass), twice too large at 100
     cfg = DEFAULT_CONFIG
     ens = simulate(WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0),
-                              cfg["envelope_horizon"], cfg["envelope_paths"], cfg["seed"]))
+                              200, cfg["envelope_paths"], cfg["seed"]))
     failed = {}
     for factor in (1.0, 1.5, 2.0):
         inflated = dataclasses.replace(ens, states=ens.states * factor)
-        report = envelope_check(inflated, PowerLawEnvelope(r=cfg["r"]))
+        report = envelope_check(inflated, PowerLawEnvelope(r=1.0))
         failed[factor] = {c.name for c in report.checks if not c.passed}
     assert failed[1.0] == set()
     assert "violation_rate_n50" in failed[1.5]
@@ -250,17 +260,38 @@ def test_report_bytes_deterministic():
     assert build() == build()
 
 
-_SMALL = {"samples": 2000, "paths": 2000, "envelope_paths": 400,
-          "envelope_horizon": 200, "seed": 7}
+_SMALL = {"samples": 2000, "paths": 2000, "envelope_paths": 400, "seed": 7}
 
 
 def _pinned_envelope_walk():
     return simulate(WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0), 600, 400, 11))
 
 
+def _envelope_suite_at_horizon_120():
+    # the envelope suite's two envelopes on a shorter walk (the suite's own
+    # horizon is fixed at 200)
+    ens = simulate(WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0), 120, 400, 7))
+    power = envelope_check(ens, PowerLawEnvelope(r=1.0))
+    declared = envelope_check(
+        ens,
+        EnvelopeSpec(
+            a_n=lambda n: 1.0,
+            b_n=lambda n: 1.0,
+            c_n=lambda n: float(n) ** 2,
+            d_n=lambda n: 1.0,
+            kappa=1.0,
+            n0=50,
+        ),
+    )
+    return VerificationReport(
+        "envelope", 7, {"paths": 400, "horizon": 120},
+        _prefixed("power_", power.checks) + _prefixed("declared_", declared.checks),
+    )
+
+
 _PINNED_REPORTS = {
     "all": lambda: run_verification("all", _SMALL),
-    "envelope_h120": lambda: run_verification("envelope", dict(_SMALL, envelope_horizon=120)),
+    "envelope_h120": _envelope_suite_at_horizon_120,
     "power_law": lambda: envelope_check(
         _pinned_envelope_walk(),
         PowerLawEnvelope(r=1.3, n0=20, check_ns=(20, 77, 150, 500)),
@@ -311,9 +342,18 @@ def test_run_verification_config_handling():
         with pytest.raises(ParameterError):
             run_verification("ks", bad)
     assert _merged(None) == _merged({}) == DEFAULT_CONFIG
-    # the suites fix their own tail indices; alpha is not a config key
-    with pytest.raises(ParameterError):
-        run_verification("ks", {"alpha": 0.3})
+    assert set(DEFAULT_CONFIG) == {"seed", "samples", "paths", "envelope_paths"}
+    # the suites fix their own tail indices, horizons and envelope exponent
+    for key, value in (("alpha", 0.3), ("horizon", 5), ("r", 1.0), ("r", "1"),
+                       ("envelope_horizon", 200)):
+        with pytest.raises(ParameterError):
+            run_verification("ks", {key: value})
+    # a seed is an integer in [0, 2^64), the range philox_key keys injectively
+    for bad in (-1, 2**64, 2**64 + 7, True, 2.5, "7"):
+        with pytest.raises(ParameterError):
+            run_verification("ks", {"seed": bad})
+    assert _merged({"seed": 0})["seed"] == 0
+    assert _merged({"seed": 2**64 - 1})["seed"] == 2**64 - 1
 
 
 def test_run_verification_small_suites_pass():
@@ -325,12 +365,7 @@ def test_run_verification_small_suites_pass():
 
 
 def test_run_verification_all_prefixes_names():
-    config = {
-        "samples": 8000,
-        "paths": 8000,
-        "envelope_paths": 400,
-        "envelope_horizon": 200,
-    }
+    config = {"samples": 8000, "paths": 8000, "envelope_paths": 400}
     report = run_verification("all", config)
     names = {c.name.split(".", 1)[0] for c in report.checks}
     assert names == set(SUITES)

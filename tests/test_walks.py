@@ -28,6 +28,7 @@ from kendall_walks import (
     kernel_sample,
     ks_statistic,
     ks_two_sample,
+    nstep_cdf,
     nstep_delta1_cdf,
     simulate,
     simulate_associated,
@@ -292,6 +293,35 @@ def test_path_view_and_reconstruction():
     assert np.all(ens.thetas[ens.switches] > 1.0)
 
 
+_ORACLE_LAWS = {
+    "kendall": (Dirac(1.0), Uniform01(), Pareto(1.5),
+                FiniteMixture(((0.5, Pareto(3.0)), (0.5, Uniform01())))),
+    "weak_kendall": (symmetrized_atom(1.0), SymPareto(1.5),
+                     FiniteMixture(((0.5, SymPareto(3.0)), (0.5, Uniform01())))),
+}
+
+
+@pytest.mark.parametrize("kind, alpha", [("kendall", 0.3), ("kendall", 0.7), ("kendall", 1.5),
+                                         ("weak_kendall", 0.3), ("weak_kendall", 0.7),
+                                         ("weak_kendall", 1.0)])
+def test_nstep_law_matches_transform_at_every_alpha(kind, alpha):
+    # the simulated n-step law against the transform route, an oracle that
+    # shares no code with the transitions; |X_n| of the weak walk is the
+    # Kendall walk of the |steps|, since the weak transition reads only
+    # moduli and |theta| ~ Pareto(2 alpha)
+    m = 50_000
+    for j, step in enumerate(_ORACLE_LAWS[kind]):
+        ens = simulate(WalkConfig(kind, alpha, step, 5, m, 900 + j))
+        law = step.abs_law()
+        for n in (2, 5):
+            cdf = lambda x: nstep_cdf(law, alpha, n, x)
+            # the n-step law jumps only at the step atoms
+            atoms = [(loc, cdf(loc) - nstep_cdf(law, alpha, n, loc, left=True))
+                     for loc, _ in law.atoms()]
+            stat = ks_statistic(np.abs(ens.states[:, n]), cdf, atoms)
+            assert stat <= _band(m), (step, n, stat)
+
+
 def test_unit_step_switch_is_certain_and_tail_is_pareto():
     # equal unit atoms give z = 1, so the first transition always switches
     cfg = WalkConfig("kendall", 1.0, Dirac(1.0), 2, 50000, 31)
@@ -374,9 +404,12 @@ def test_config_validation():
                 WalkConfig(kind, alpha, Dirac(1.0), 3, 10, 0)
     for horizon, paths, seed in ((np.inf, 10, 0), (3, np.nan, 0), (3, 10, 2.5),
                                  (3, 10, np.inf), (2.5, 10, 0), (3, "10", 0),
-                                 (True, True, False), (3, np.True_, 0), (3, 10, False)):
+                                 (True, True, False), (3, np.True_, 0), (3, 10, False),
+                                 (3, 10, True), (3, 10, -1), (3, 10, 2**64), (3, 10, 2**64 + 7)):
         with pytest.raises(ParameterError):
             WalkConfig("kendall", 1.0, Dirac(1.0), horizon, paths, seed)
+    # seeds span [0, 2^64), the range on which philox_key is injective
+    assert WalkConfig("kendall", 1.0, Dirac(1.0), 3, 10, 2**64 - 1).seed == 2**64 - 1
     cfg = WalkConfig(" Weak-Kendall", 1.0, symmetrized_atom(1.0), 3, 10, 0)
     assert cfg.convolution == "weak_kendall"
 
