@@ -21,14 +21,16 @@ Exit status: 0 success, 1 verification failure, 2 usage or domain error.
 Flags are only parsed here; the library range-checks every value (a
 ``ParameterError``, exit status 2) before any computation starts, and
 identical invocations with identical seeds emit byte-identical files
-regardless of ``KENDALL_WALKS_THREADS``.  Reals in CSV output use full
-decimal round-trip formatting.
+regardless of ``KENDALL_WALKS_THREADS``.  One writer, ``_write_csv``, serves
+all three tables: it takes blocks of numpy columns and writes each value by
+``repr`` (ints in decimal, reals in shortest round-trip form); ``simulate``
+passes ``_CSV_BLOCK_PATHS`` paths per block, ``nstep`` and ``transform`` one.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import re
 import sys
@@ -53,6 +55,9 @@ from .walks import WalkConfig, simulate
 
 __all__ = ["parse_dist", "format_dist", "build_parser", "run", "main"]
 
+
+# paths per simulate CSV block; its values are held as Python objects
+_CSV_BLOCK_PATHS = 64
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _WORD = re.compile(r"[a-z][a-z0-9_]*")
@@ -175,15 +180,14 @@ def _dist(text: str) -> Distribution:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _write_csv(path: str, header, rows):
+def _write_csv(path: str, header, blocks):
+    """Write ``header`` and one row per element of each block, a tuple of
+    equal-length numpy columns, every value by ``repr``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            columns = [column.ravel().tolist() for column in block]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
 
 
 def _cmd_simulate(args) -> int:
@@ -196,32 +200,31 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     ensemble = simulate(config)
+    k = config.horizon + 1
 
-    def rows():
-        for m in range(config.paths):
-            for n in range(config.horizon + 1):
-                if n >= 2:
-                    q = int(ensemble.switches[m, n - 2])
-                    theta = _fmt(ensemble.thetas[m, n - 2])
-                else:
-                    q = 0
-                    theta = _fmt(1.0)
-                yield (m, n, _fmt(ensemble.states[m, n]), q, theta)
+    def blocks():
+        # rows for n < 2 carry q=0, theta=1.0: the first transition gives n = 2
+        for lo in range(0, config.paths, _CSV_BLOCK_PATHS):
+            hi = min(lo + _CSV_BLOCK_PATHS, config.paths)
+            m = hi - lo
+            yield (
+                np.repeat(np.arange(lo, hi), k),
+                np.tile(np.arange(k), m),
+                ensemble.states[lo:hi],
+                np.hstack((np.zeros((m, 2), dtype=int), ensemble.switches[lo:hi])),
+                np.hstack((np.ones((m, 2)), ensemble.thetas[lo:hi])),
+            )
 
-    _write_csv(args.out, ("path_id", "n", "x", "q", "theta"), rows())
+    _write_csv(args.out, ("path_id", "n", "x", "q", "theta"), blocks())
     print(f"wrote {args.out}: {config.paths} paths, horizon {config.horizon}")
     return 0
 
 
 def _cmd_nstep(args) -> int:
     xs = args.grid
-    cdf = np.atleast_1d(williamson.nstep_cdf(args.step, args.alpha, args.n, xs))
-    pdf = np.atleast_1d(williamson.nstep_pdf(args.step, args.alpha, args.n, xs))
-    _write_csv(
-        args.out,
-        ("x", "cdf", "pdf"),
-        ((_fmt(x), _fmt(c), _fmt(p)) for x, c, p in zip(xs, cdf, pdf)),
-    )
+    cdf = williamson.nstep_cdf(args.step, args.alpha, args.n, xs)
+    pdf = williamson.nstep_pdf(args.step, args.alpha, args.n, xs)
+    _write_csv(args.out, ("x", "cdf", "pdf"), [(xs, cdf, pdf)])
     print(f"wrote {args.out}: n={args.n} law table on {xs.size} grid points")
     return 0
 
@@ -232,24 +235,10 @@ def _cmd_transform(args) -> int:
     if ts[0] <= 0:
         print("error: transform grid must start above 0", file=sys.stderr)
         return 2
-    phi_vals = np.atleast_1d(williamson.phi(law, alpha, ts))
-    dphi_vals = np.atleast_1d(williamson.phi_prime(law, alpha, ts))
-    cdf_vals = np.atleast_1d(
-        williamson.invert_transform(
-            lambda t: williamson.phi(law, alpha, t),
-            alpha,
-            ts,
-            dphi=lambda t: williamson.phi_prime(law, alpha, t),
-        )
-    )
-    _write_csv(
-        args.out,
-        ("t", "phi", "dphi", "cdf"),
-        (
-            (_fmt(t), _fmt(p), _fmt(d), _fmt(c))
-            for t, p, d, c in zip(ts, phi_vals, dphi_vals, cdf_vals)
-        ),
-    )
+    phi = functools.partial(williamson.phi, law, alpha)
+    dphi = functools.partial(williamson.phi_prime, law, alpha)
+    cdf = williamson.invert_transform(phi, alpha, ts, dphi=dphi)
+    _write_csv(args.out, ("t", "phi", "dphi", "cdf"), [(ts, phi(ts), dphi(ts), cdf)])
     print(f"wrote {args.out}: transform table on {ts.size} grid points")
     return 0
 

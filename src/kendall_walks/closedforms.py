@@ -386,7 +386,7 @@ def envelope_prob(n, r: float):
     _check_envelope_r(r)
     for v in np.ravel(n):
         _check_int("n", v, 1)
-    arr, scalar = _as_array(n, ndmin=1)
+    arr, scalar = _as_array(n)
     q = np.log(arr) * arr ** (-r - 1.0)
     small = q < 1.0
     q_safe = np.where(small, np.minimum(q, 1.0 - 1e-16), 0.0)

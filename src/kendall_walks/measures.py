@@ -20,6 +20,7 @@ independent streams, identical pairs reproduce draws bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,15 @@ def philox_key(seed: int, stream_id: int) -> int:
     return ((int(seed) & _U64) << 64) | (int(stream_id) & _U64)
 
 
-def _check_seed(name, value) -> int:
+def _check_seed(name, value, span=0) -> int:
     """Return ``value`` as an int; raise ParameterError unless it is an
-    integer in [0, 2^64), the range on which ``philox_key`` is injective:
-    a seed outside it would alias the seed it equals mod 2^64."""
+    integer in [0, 2^64 - span), so that it and the ``span`` seeds above it
+    lie in [0, 2^64), the range on which ``philox_key`` is injective: a seed
+    outside it would alias the seed it equals mod 2^64."""
     seed = _check_int(name, value)
-    if not 0 <= seed <= _U64:
-        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    if not 0 <= seed <= _U64 - span:
+        bound = f"2**64 - {span}" if span else "2**64"
+        raise ParameterError(f"{name} must be an integer in [0, {bound}), got {value!r}")
     return seed
 
 
@@ -83,13 +86,13 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _as_array(x, ndmin=0):
-    """``x`` as a float array of at least ``ndmin`` dimensions, and whether
-    ``x`` is a scalar.  With ``ndmin=1`` a scalar is evaluated as a
-    one-element array: numpy's vectorized ``pow`` can differ from the 0-d
-    one in the last place, and this keeps scalar and array results equal."""
+def _as_array(x):
+    """``x`` as a float array of at least one dimension, and whether ``x``
+    is a scalar.  A scalar is evaluated as a one-element array: numpy's
+    vectorized ``pow`` can differ from the 0-d one in the last place, and
+    this keeps scalar and array results equal bit for bit."""
     arr = np.asarray(x, dtype=float)
-    return (np.atleast_1d(arr) if ndmin else arr), arr.ndim == 0
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def _ret(arr, scalar):
@@ -163,8 +166,10 @@ class Distribution:
 
 
 def _check_positive(name, value, upper=math.inf):
-    """Raise ParameterError unless ``value`` is finite and in (0, upper]."""
-    if not (0 < value <= upper) or not math.isfinite(value):
+    """Raise ParameterError unless ``value`` is a real number (booleans and
+    non-numbers are not) that is finite and in (0, upper]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (0 < value <= upper) or not math.isfinite(value)):
         domain = "positive and finite" if upper == math.inf else f"in (0, {upper:g}]"
         raise ParameterError(f"{name} must be {domain}, got {value!r}")
 

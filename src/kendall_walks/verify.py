@@ -503,6 +503,9 @@ DEFAULT_CONFIG = {
 _HORIZON = 5
 _ENVELOPE_R = 1.0
 _ENVELOPE_HORIZON = 200
+# The largest offset a suite adds to the config seed (chf's seed + 10 j + 5):
+# the walk seeds must stay in range too.
+_SEED_SPAN = 15
 
 
 def _merged(config) -> dict:
@@ -514,7 +517,7 @@ def _merged(config) -> dict:
         if unknown:
             raise ParameterError(f"unknown verify config keys {sorted(unknown)!r}")
         cfg.update(config)
-    cfg["seed"] = _check_seed("config 'seed'", cfg["seed"])
+    cfg["seed"] = _check_seed("config 'seed'", cfg["seed"], _SEED_SPAN)
     for key in ("samples", "paths", "envelope_paths"):
         cfg[key] = _check_int(f"config {key!r}", cfg[key], 1)
     return cfg

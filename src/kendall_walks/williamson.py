@@ -45,7 +45,7 @@ def phi(law: Distribution, alpha: float, t):
     """Evaluate ``Phi_nu(t)`` for ``t >= 0`` (vectorized in t)."""
     _check_positive("alpha", alpha)
     law._require_half_line()
-    arr, scalar = _as_array(t, ndmin=1)
+    arr, scalar = _as_array(t)
     if np.any(arr < 0):
         raise ParameterError("phi is defined for t >= 0")
     pos = arr > 0
@@ -66,7 +66,7 @@ def phi_prime(law: Distribution, alpha: float, t):
     """Analytic derivative ``Phi'(t) = -alpha t^(alpha-1) M(1/t)``, t > 0."""
     _check_positive("alpha", alpha)
     law._require_half_line()
-    arr, scalar = _as_array(t, ndmin=1)
+    arr, scalar = _as_array(t)
     if np.any(arr <= 0):
         raise ParameterError("phi_prime is defined for t > 0")
     out = -alpha * arr ** (alpha - 1.0) * np.asarray(
@@ -89,7 +89,7 @@ def _nstep_parts(law: Distribution, alpha: float, n: int, x):
     _check_positive("alpha", alpha)
     law._require_half_line()
     n = _check_int("n", n, 1)
-    arr, scalar = _as_array(x, ndmin=1)
+    arr, scalar = _as_array(x)
     pos = arr > 0
     safe = np.where(pos, arr, 1.0)
     with np.errstate(over="ignore"):
@@ -152,7 +152,7 @@ def _probe_transform(phi_fn, n_points: int = 49):
         raise TransformError("phi takes values outside [0, 1] on the probe grid")
 
 
-def invert_transform(phi_fn, alpha: float, x, dphi=None, probe: bool = True):
+def invert_transform(phi_fn, alpha: float, x, dphi=None):
     """Recover ``F(x)`` from a transform ``phi_fn`` via
 
         F(x) = phi(1/x) + x/alpha * d/dx[phi(1/x)].
@@ -164,9 +164,8 @@ def invert_transform(phi_fn, alpha: float, x, dphi=None, probe: bool = True):
     valid transforms (not nonincreasing, or phi(0) != 1).
     """
     _check_positive("alpha", alpha)
-    if probe:
-        _probe_transform(phi_fn)
-    xs, scalar = _as_array(x, ndmin=1)
+    _probe_transform(phi_fn)
+    xs, scalar = _as_array(x)
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
         if xi <= 0:

@@ -39,7 +39,8 @@ from kendall_walks import (
     scale_law,
     symmetrized_atom,
 )
-from kendall_walks.measures import _mu1_proposals
+from kendall_walks import closedforms as cf
+from kendall_walks.measures import Distribution, _mu1_proposals
 from kendall_walks.verify import KS_COEFF
 
 orders = st.floats(min_value=0.5, max_value=5.0, allow_nan=False)
@@ -265,6 +266,63 @@ def test_mu1_cdf_exact_at_infinity():
         assert MuAlpha(1.0).cdf(np.inf) == 1.0
 
 
+_SCALAR_RNG = np.random.default_rng(20261019)
+_SCALAR_X = np.concatenate([np.exp(_SCALAR_RNG.uniform(-5.0, 5.0, 200)),
+                            -np.exp(_SCALAR_RNG.uniform(-5.0, 5.0, 200))])
+_SCALAR_U = _SCALAR_RNG.uniform(0.0, 1.0, 400)
+_SCALAR_LAWS = (Dirac(1.5), Pareto(2.0), Pareto(0.7, 3.0), SymPareto(1.5), Beta(2.0, 3.0),
+                Gamma(1.5, 2.0), Uniform01(), MuAlpha(1.0), MuAlpha(0.6),
+                FiniteMixture(((0.3, Dirac(1.0)), (0.7, Pareto(2.0)))),
+                Scaled(Pareto(2.0), -1.5))
+
+
+def _scalar_cases():
+    for law in _SCALAR_LAWS:
+        # the quadrature laws are slow: a tenth of the points
+        xs = _SCALAR_X[::10] if isinstance(law, MuAlpha) and law.alpha < 1 else _SCALAR_X
+        for method in ("cdf", "pdf", "cdf_left"):
+            yield f"{law!r}.{method}", getattr(law, method), xs
+        if type(law).ppf is not Distribution.ppf:
+            yield f"{law!r}.ppf", law.ppf, _SCALAR_U
+        if law.support[0] >= 0:
+            yield (f"{law!r}.truncated_alpha_moment",
+                   lambda x, law=law: law.truncated_alpha_moment(x, 0.7), np.abs(xs))
+    ax = np.abs(_SCALAR_X)
+    yield from (
+        ("mu1_cdf", mu1_cdf, _SCALAR_X),
+        ("mu1_pdf", mu1_pdf, _SCALAR_X),
+        ("mu1_ppf", mu1_ppf, _SCALAR_U),
+        ("nstep_delta1_cdf", lambda x: cf.nstep_delta1_cdf(3, 0.7, x), _SCALAR_X),
+        ("nstep_delta1_pdf", lambda x: cf.nstep_delta1_pdf(3, 0.7, x), _SCALAR_X),
+        ("nstep_uniform_cdf", lambda x: cf.nstep_uniform_cdf(3, 0.7, x), _SCALAR_X),
+        ("nstep_beta_cdf", lambda x: cf.nstep_beta_cdf(3, 0.7, 2.0, 3.0, x), _SCALAR_X),
+        ("nstep_gamma_cdf", lambda x: cf.nstep_gamma_cdf(3, 0.7, 1.5, 2.0, x), _SCALAR_X),
+        ("sym_nstep_pdf", lambda x: cf.sym_nstep_pdf(3, 0.7, x), _SCALAR_X),
+        ("mixture_power_pdf", lambda x: cf.mixture_power_pdf(3, 0.7, x), _SCALAR_X),
+        ("mu1_nfold_pdf", lambda x: cf.mu1_nfold_pdf(3, x), _SCALAR_X),
+        ("transience_sum", lambda x: cf.transience_sum(0.7, x), ax),
+        ("joint_density", lambda x: cf.joint_density(3, x, 2.0 * x), ax + 1.0),
+        ("envelope_prob", lambda n: cf.envelope_prob(n, 1.3), np.arange(1.0, 401.0)),
+        ("phi", lambda t: phi(Pareto(2.0), 0.7, t), ax),
+        ("phi_prime", lambda t: phi_prime(Pareto(2.0), 0.7, t), ax),
+        ("nstep_cdf", lambda x: nstep_cdf(Gamma(1.5, 2.0), 0.7, 3, x), ax),
+        ("nstep_pdf", lambda x: nstep_pdf(Gamma(1.5, 2.0), 0.7, 3, x), ax),
+    )
+
+
+def test_scalar_calls_equal_array_calls_bit_for_bit():
+    # numpy's 0-d pow can differ from its vectorized pow in the last place;
+    # every law method and closed form evaluates a scalar as a 1-element array
+    mismatched = []
+    for name, fn, points in _scalar_cases():
+        vectorized = np.asarray(fn(points), dtype=float)
+        scalars = [fn(float(p)) for p in points]
+        assert all(type(v) is float for v in scalars), name
+        if not np.array_equal(vectorized.view(np.int64), np.array(scalars).view(np.int64)):
+            mismatched.append(name)
+    assert mismatched == []
+
+
 _EXTREME_LAWS = (Pareto(2.0), Pareto(0.7, 3.0), SymPareto(0.5), Gamma(1.5, 2.0),
                  Beta(2.0, 3.0), Uniform01(), MuAlpha(1.0))
 _EXTREME_POINTS = (0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-200, -1e-200,
@@ -383,6 +441,14 @@ def test_parameter_validation():
         MuAlpha(1.2)
     with pytest.raises(ParameterError):
         sample_mu_alpha(0.0, RngStream(0, 0), size=4)
+    # bools and non-real values are not parameters, as for integer arguments
+    for bad in (True, np.True_, False, "2", None, 2.0 + 0j):
+        with pytest.raises(ParameterError):
+            Pareto(bad)
+        with pytest.raises(ParameterError):
+            Gamma(1.0, bad)
+        with pytest.raises(ParameterError):
+            nstep_cdf(Dirac(1.0), bad, 2, 2.0)
 
 
 @given(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=1, max_size=4))

@@ -398,7 +398,7 @@ def test_config_validation():
     for kind in ("max", "alpha_conv", "symmetric_conv"):
         with pytest.raises(ParameterError):
             WalkConfig(kind, 1.0, Dirac(1.0), 3, 10, 0)
-    for alpha in (0.0, -1.0, np.nan, np.inf):
+    for alpha in (0.0, -1.0, np.nan, np.inf, True, np.True_, "1", None):
         for kind in ("kendall", "weak_kendall"):
             with pytest.raises(ParameterError):
                 WalkConfig(kind, alpha, Dirac(1.0), 3, 10, 0)
