@@ -12,13 +12,19 @@ events refer to the unit-atom walk at tail index alpha = 1.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 from scipy import integrate, special
 
 from .errors import ParameterError
-from .measures import _as_array, _check_int, _check_positive, _finite_or_zero, _ret
+from .measures import (
+    _as_array,
+    _check_int,
+    _check_positive,
+    _check_real,
+    _finite_or_zero,
+    _ret,
+)
 
 __all__ = [
     "nstep_delta1_cdf",
@@ -365,9 +371,8 @@ def _log1p_minus_x(x):
 
 def _check_envelope_r(r):
     """Raise ParameterError unless the envelope exponent ``r`` is a finite
-    real number (not a bool) above 1/2, the summability range."""
-    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.5 < r < math.inf:
-        raise ParameterError(f"r must be a finite real number above 1/2, got {r!r}")
+    real number above 1/2, the summability range."""
+    _check_real("r", r, "a finite real number above 1/2", lambda v: v > 0.5)
 
 
 def envelope_prob(n, r: float):

@@ -165,13 +165,20 @@ class Distribution:
             raise SupportError(f"law {self!r} is not carried by [0, inf)")
 
 
-def _check_positive(name, value, upper=math.inf):
-    """Raise ParameterError unless ``value`` is a real number (booleans and
-    non-numbers are not) that is finite and in (0, upper]."""
+def _check_real(name, value, domain="a finite real number", within=lambda v: True):
+    """Raise ParameterError unless ``value`` is a finite real number
+    (booleans and non-numbers are not) for which ``within`` holds;
+    ``domain`` describes the accepted values in the message."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (0 < value <= upper) or not math.isfinite(value)):
-        domain = "positive and finite" if upper == math.inf else f"in (0, {upper:g}]"
+            or not math.isfinite(value) or not within(value)):
         raise ParameterError(f"{name} must be {domain}, got {value!r}")
+
+
+def _check_positive(name, value, upper=math.inf):
+    """Raise ParameterError unless ``value`` is a finite real number in
+    (0, upper]."""
+    domain = "positive and finite" if upper == math.inf else f"in (0, {upper:g}]"
+    _check_real(name, value, domain, lambda v: 0 < v <= upper)
 
 
 def _check_int(name, value, least=None):
@@ -198,8 +205,7 @@ class Dirac(Distribution):
     _draws = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.location):
-            raise ParameterError(f"location must be finite, got {self.location!r}")
+        _check_real("location", self.location)
 
     @property
     def support(self):
@@ -649,8 +655,7 @@ class FiniteMixture(Distribution):
             raise ParameterError("mixture needs at least one component")
         total = 0.0
         for w, law in self.components:
-            if not (w > 0) or not math.isfinite(w):
-                raise ParameterError(f"mixture weight must be positive, got {w!r}")
+            _check_positive("mixture weight", w)
             if not isinstance(law, Distribution):
                 raise ParameterError(f"mixture component {law!r} is not a Distribution")
             total += w
@@ -722,8 +727,7 @@ class Scaled(Distribution):
     factor: float
 
     def __post_init__(self):
-        if self.factor == 0 or not math.isfinite(self.factor):
-            raise ParameterError(f"factor must be nonzero and finite, got {self.factor!r}")
+        _check_real("factor", self.factor, "a nonzero finite real number", lambda v: v != 0)
 
     @property
     def support(self):
@@ -792,8 +796,7 @@ def symmetrized_atom(a: float) -> Distribution:
 
 def scale_law(law: Distribution, c: float) -> Distribution:
     """Pushforward of ``law`` under multiplication by ``c``; c = 0 gives delta_0."""
-    if not math.isfinite(c):
-        raise ParameterError(f"scale factor must be finite, got {c!r}")
+    _check_real("scale factor", c)
     if c == 0:
         return Dirac(0.0)
     if isinstance(law, Dirac):

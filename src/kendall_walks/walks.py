@@ -27,15 +27,14 @@ generators produce these streams with the same bits as ``RngStream``:
 for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (160) uniforms per path, a numpy
 Philox4x64-10 computed over arrays of paths (``_philox_rows``); for
 longer paths, one numpy ``Philox`` re-keyed per path in a loop.  The
-associated walk consumes streams per fixed-size path block instead,
-because its multiplier sampler is rejection-based with a data-dependent
-draw count; blocks are tied to path indices, not workers, so the same
-reproducibility guarantee holds.  The rejection sampler is kept because
-it is about 6 times faster than ``mu1_ppf`` (0.19 s against 1.1 s per
-1e6 draws on a 2-vCPU x86-64 machine).
-
-The worker pool size is capped by the ``KENDALL_WALKS_THREADS``
-environment variable.
+same threshold picks the thread pool: only walks on the re-keying loop
+run their chunks on up to ``worker_count()`` threads, shorter walks in a
+plain loop.  The associated walk consumes streams per fixed-size path block
+instead, serially, because its multiplier sampler is rejection-based
+with a data-dependent draw count; blocks are tied to path indices, so
+the same reproducibility guarantee holds.  The rejection sampler is
+kept because it is about 6 times faster than ``mu1_ppf`` (0.19 s
+against 1.1 s per 1e6 draws on a 2-vCPU x86-64 machine).
 """
 
 from __future__ import annotations
@@ -78,7 +77,11 @@ _PHILOX_ROUNDS = 10
 # about 5 us per path plus 11 ns per uniform, so the two meet near
 # 5 us / 29 ns.  Measured on 32768 paths (2-vCPU x86-64, numpy 2.4): equal
 # at 160 draws with one worker; with two workers the loop also contends for
-# the interpreter lock and equality moves to about 290 draws.
+# the interpreter lock and equality moves to about 290 draws.  No workload
+# sits between 160 and 290 draws.  The threshold also picks the thread
+# pool: walks above it run their chunks on worker threads (two cut the wall
+# time of a 497-draw walk by 14%), walks at or below it in a plain loop,
+# where threads bought no wall time and cost peak memory.
 _ARRAY_PHILOX_MAX_DRAWS = 160
 _MAX_BYTES = 8_000_000_000
 
@@ -94,20 +97,7 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Worker cap from KENDALL_WALKS_THREADS, else a small machine default."""
-    env = os.environ.get("KENDALL_WALKS_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ParameterError(
-                f"KENDALL_WALKS_THREADS must be a positive integer, got {env!r}"
-            ) from None
-        if cap < 1:
-            raise ParameterError(
-                f"KENDALL_WALKS_THREADS must be a positive integer, got {env!r}"
-            )
-        return cap
+    """Thread cap for long walks: the CPU count, at most 8."""
     return min(os.cpu_count() or 1, 8)
 
 
@@ -320,8 +310,11 @@ def _simulate_chunk_quantile(cfg: WalkConfig, kind, kdraws: int, lo: int, hi: in
         switches[sl, i - 1] = q
 
 
-def _check_memory(paths: int, horizon: int):
-    est = paths * (4 * horizon + 2) * 8
+def _check_memory(paths: int, horizon: int, draws: int, workers: int):
+    """Raise ResourceError before allocating an ensemble of ``paths`` x
+    ``horizon`` whose ``workers`` chunks in flight each hold a block of
+    ``draws`` floats per path (the path's uniforms, for ``simulate``)."""
+    est = (paths * (4 * horizon + 2) + workers * min(paths, _CHUNK) * draws) * 8
     if est > _MAX_BYTES:
         raise ResourceError(
             f"request needs ~{est / 1e9:.1f} GB for {paths} paths x horizon {horizon}; "
@@ -329,33 +322,35 @@ def _check_memory(paths: int, horizon: int):
         )
 
 
-def _run_chunks(n_items: int, task):
-    ranges = [(lo, min(lo + _CHUNK, n_items)) for lo in range(0, n_items, _CHUNK)]
-    workers = min(worker_count(), len(ranges))
-    if workers <= 1:
-        for lo, hi in ranges:
-            task(lo, hi)
-    else:
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: task(*r), ranges))
-
-
 def simulate(config: WalkConfig) -> WalkEnsemble:
     """Simulate ``config.paths`` independent trajectories.
 
     Path m draws from stream (config.seed, m); results are bit-identical
-    regardless of worker count.
+    regardless of worker count.  Chunks of paths go to a thread pool only
+    when a path takes more than ``_ARRAY_PHILOX_MAX_DRAWS`` uniforms.
     """
-    _check_memory(config.paths, config.horizon)
     m, n = config.paths, config.horizon
+    kind = parse_convolution(config.convolution, config.alpha)
+    kdraws = config.unit_step._draws
+    draws = kdraws + (n - 1) * (kdraws + kind._draws)
+    ranges = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
+    workers = min(worker_count(), len(ranges)) if draws > _ARRAY_PHILOX_MAX_DRAWS else 1
+    _check_memory(m, n, draws, workers)
     states = np.empty((m, n + 1), dtype=float)
     steps = np.empty((m, n), dtype=float)
     thetas = np.empty((m, max(n - 1, 0)), dtype=float)
     switches = np.zeros((m, max(n - 1, 0)), dtype=bool)
     out = (states, steps, thetas, switches)
-    kind = parse_convolution(config.convolution, config.alpha)
-    kdraws = config.unit_step._draws
-    _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(config, kind, kdraws, lo, hi, out))
+
+    def task(r):
+        _simulate_chunk_quantile(config, kind, kdraws, *r, out)
+
+    if workers > 1:
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(task, ranges))
+    else:
+        for r in ranges:
+            task(r)
     return WalkEnsemble(config=config, states=states, steps=steps,
                         thetas=thetas, switches=switches)
 
@@ -370,18 +365,16 @@ def simulate_associated(config: WalkConfig) -> AssociatedWalkEnsemble:
     """
     if config.convolution != "weak_kendall":
         raise ParameterError("the associated walk is defined for weak_kendall configs")
-    _check_memory(config.paths, config.horizon)
     m, n = config.paths, config.horizon
+    _check_memory(m, n, 2 * n, 1)
     steps = np.empty((m, n), dtype=float)
     multipliers = np.empty((m, n), dtype=float)
-
-    def task(lo, hi):
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
         rng = RngStream(config.seed, lo // _CHUNK)
         cnt = (hi - lo) * n
         steps[lo:hi] = np.asarray(config.unit_step.sample(rng, cnt)).reshape(hi - lo, n)
         multipliers[lo:hi] = sample_mu_alpha(config.alpha, rng, cnt).reshape(hi - lo, n)
-
-    _run_chunks(m, task)
     partial = np.zeros((m, n + 1), dtype=float)
     np.cumsum(steps * multipliers, axis=1, out=partial[:, 1:])
     return AssociatedWalkEnsemble(config=config, steps=steps,

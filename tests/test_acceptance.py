@@ -29,6 +29,7 @@ from kendall_walks import (
     simulate,
     simulate_associated,
     symmetrized_atom,
+    walks,
     williamson,
 )
 from kendall_walks.cli import run
@@ -197,8 +198,8 @@ def test_criterion_11_axiom_suite():
 
 def test_criterion_12_determinism(tmp_path, monkeypatch):
     csv_bytes = []
-    for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        monkeypatch.setenv("KENDALL_WALKS_THREADS", threads)
+    for tag, threads in (("a", 1), ("b", 4), ("c", 1)):
+        monkeypatch.setattr(walks, "worker_count", lambda: threads)
         out = tmp_path / f"det_{tag}.csv"
         code = run([
             "simulate", "--conv", "weak-kendall", "--alpha", "0.8",
@@ -212,8 +213,8 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
     json_bytes = []
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"samples": 4000, "paths": 4000}))
-    for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        monkeypatch.setenv("KENDALL_WALKS_THREADS", threads)
+    for tag, threads in (("a", 1), ("b", 4), ("c", 1)):
+        monkeypatch.setattr(walks, "worker_count", lambda: threads)
         out = tmp_path / f"rep_{tag}.json"
         code = run(["verify", "--suite", "moments", "--config", str(config),
                     "--out", str(out)])

@@ -21,7 +21,7 @@ from kendall_walks import (
     VerificationReport,
     run_verification,
 )
-from kendall_walks import cli
+from kendall_walks import cli, walks
 from kendall_walks.cli import format_dist, parse_dist, run
 
 finite = st.floats(0.1, 50.0, allow_nan=False, allow_infinity=False)
@@ -118,8 +118,8 @@ def test_format_dist_rejects_inexpressible():
 
 def test_simulate_csv_deterministic_across_workers(tmp_path, monkeypatch):
     outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("KENDALL_WALKS_THREADS", threads)
+    for threads in (1, 4):
+        monkeypatch.setattr(walks, "worker_count", lambda: threads)
         out = tmp_path / f"sim_{threads}.csv"
         code = run([
             "simulate", "--conv", "weak-kendall", "--alpha", "0.7",
@@ -194,8 +194,9 @@ def test_transform_table_and_grid_guard(tmp_path, capsys):
     for t, phi, dphi, _ in rows:
         assert float(phi) == pytest.approx(1.0 - float(t), abs=1e-12)
         assert float(dphi) == pytest.approx(-1.0, abs=1e-12)
+    # the library rejects t = 0; the CLI only reports its error
     assert run(["transform", "--grid", "0:1:5", "--out", str(out)]) == 2
-    assert "must start above 0" in capsys.readouterr().err
+    assert "defined for t > 0" in capsys.readouterr().err
 
 
 def test_verify_exit_codes(tmp_path, monkeypatch):

@@ -449,6 +449,14 @@ def test_parameter_validation():
             Gamma(1.0, bad)
         with pytest.raises(ParameterError):
             nstep_cdf(Dirac(1.0), bad, 2, 2.0)
+        with pytest.raises(ParameterError):
+            Dirac(bad)
+        with pytest.raises(ParameterError):
+            Scaled(Pareto(2.0), bad)
+        with pytest.raises(ParameterError):
+            FiniteMixture(((bad, Dirac(1.0)),))
+        with pytest.raises(ParameterError):
+            scale_law(Dirac(1.0), bad)
 
 
 @given(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=1, max_size=4))

@@ -1,6 +1,7 @@
 """Path simulation: engines, streams, layout, worker invariance."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -33,11 +34,17 @@ from kendall_walks import (
     simulate,
     simulate_associated,
     symmetrized_atom,
+    walks,
     worker_count,
 )
 from kendall_walks.convolution import _kendall_transition, _weak_transition
 from kendall_walks.verify import KS_COEFF
-from kendall_walks.walks import _ARRAY_PHILOX_MAX_DRAWS, _block_sample, _path_uniform_block
+from kendall_walks.walks import (
+    _ARRAY_PHILOX_MAX_DRAWS,
+    _block_sample,
+    _path_uniform_block,
+    _simulate_chunk_quantile,
+)
 
 
 def _band(n):
@@ -207,9 +214,9 @@ def test_mu_alpha_steps_follow_the_law(a):
 def test_mu_alpha_mixture_independent_of_workers(monkeypatch):
     mix = FiniteMixture(((0.5, MuAlpha(0.6)), (0.3, symmetrized_atom(1.0)), (0.2, MuAlpha(1.0))))
     cfg = WalkConfig("weak_kendall", 0.8, mix, 3, 20000, 73)
-    monkeypatch.setenv("KENDALL_WALKS_THREADS", "1")
+    monkeypatch.setattr(walks, "worker_count", lambda: 1)
     a = simulate(cfg)
-    monkeypatch.setenv("KENDALL_WALKS_THREADS", "2")
+    monkeypatch.setattr(walks, "worker_count", lambda: 2)
     b = simulate(cfg)
     assert np.all(np.isfinite(a.states))
     for name in ("states", "steps", "thetas", "switches"):
@@ -267,9 +274,9 @@ def test_simulate_deterministic_in_seed():
 
 def test_worker_count_does_not_change_results(monkeypatch):
     cfg = WalkConfig("kendall", 1.0, Dirac(1.0), 4, 40000, 23)
-    monkeypatch.setenv("KENDALL_WALKS_THREADS", "1")
+    monkeypatch.setattr(walks, "worker_count", lambda: 1)
     a = simulate(cfg)
-    monkeypatch.setenv("KENDALL_WALKS_THREADS", "4")
+    monkeypatch.setattr(walks, "worker_count", lambda: 4)
     b = simulate(cfg)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.thetas, b.thetas)
@@ -414,22 +421,60 @@ def test_config_validation():
     assert cfg.convolution == "weak_kendall"
 
 
-def test_memory_guard():
+def test_memory_guard(monkeypatch):
     with pytest.raises(ResourceError):
         simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 1000, 10**9, 0))
+    # the ensemble (32.1 MB) fits under 40 MB, but not with the 398-uniform
+    # block (15.9 MB) its one chunk holds in flight
+    monkeypatch.setattr(walks, "_MAX_BYTES", 40_000_000)
+    with pytest.raises(ResourceError):
+        simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 200, 5000, 1))
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("KENDALL_WALKS_THREADS", "7")
-    assert worker_count() == 7
-    monkeypatch.setenv("KENDALL_WALKS_THREADS", "0")
-    with pytest.raises(ParameterError):
-        worker_count()
-    monkeypatch.setenv("KENDALL_WALKS_THREADS", "many")
-    with pytest.raises(ParameterError):
-        worker_count()
-    monkeypatch.delenv("KENDALL_WALKS_THREADS")
+def test_worker_count_env():
     assert worker_count() >= 1
+
+
+def _chunk_threads(monkeypatch, cfg, workers):
+    """Simulate ``cfg`` with ``worker_count()`` = ``workers``; return the
+    ensemble and the set of threads that ran its chunks."""
+    seen = set()
+
+    def recording(*args):
+        seen.add(threading.get_ident())
+        _simulate_chunk_quantile(*args)
+
+    monkeypatch.setattr(walks, "worker_count", lambda: workers)
+    monkeypatch.setattr(walks, "_simulate_chunk_quantile", recording)
+    return simulate(cfg), seen
+
+
+def test_long_walk_runs_on_the_pool_with_identical_output(monkeypatch):
+    # 1 + 54 * 3 = 163 uniforms per path, over two chunks of paths
+    cfg = WalkConfig("kendall", 1.0, Pareto(2.0), 55, 17000, 31)
+    a, serial = _chunk_threads(monkeypatch, cfg, 1)
+    b, pooled = _chunk_threads(monkeypatch, cfg, 4)
+    assert serial == {threading.get_ident()}
+    assert threading.get_ident() not in pooled
+    for name in ("states", "steps", "thetas", "switches"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_short_walk_runs_chunks_in_a_loop(monkeypatch):
+    # 1 + 9 * 4 = 37 uniforms per path: two chunks, both on the caller's thread
+    cfg = WalkConfig("weak_kendall", 0.7, SymPareto(2.0), 10, 17000, 31)
+    _, seen = _chunk_threads(monkeypatch, cfg, 4)
+    assert seen == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("horizon", [5, 55])
+def test_rows_do_not_depend_on_path_count(horizon):
+    # across the 16384-path chunk boundary, on the array generator (13
+    # uniforms per path) and on the re-keying loop (163)
+    small = simulate(WalkConfig("kendall", 1.0, Uniform01(), horizon, 16400, 37))
+    large = simulate(WalkConfig("kendall", 1.0, Uniform01(), horizon, 20000, 37))
+    for name in ("states", "steps", "thetas", "switches"):
+        assert np.array_equal(getattr(small, name), getattr(large, name)[:16400])
 
 
 def test_negative_scaled_law_maps_zero_uniform_like_smallest():
