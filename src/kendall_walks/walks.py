@@ -26,15 +26,15 @@ output independent of chunking and worker count, bit for bit.  Two
 generators produce these streams with the same bits as ``RngStream``:
 for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (160) uniforms per path, a numpy
 Philox4x64-10 computed over arrays of paths (``_philox_rows``); for
-longer paths, one numpy ``Philox`` re-keyed per path in a loop.  The
-same threshold picks the thread pool: only walks on the re-keying loop
-run their chunks on up to ``worker_count()`` threads, shorter walks in a
-plain loop.  The associated walk consumes streams per fixed-size path block
-instead, serially, because its multiplier sampler is rejection-based
-with a data-dependent draw count; blocks are tied to path indices, so
-the same reproducibility guarantee holds.  The rejection sampler is
-kept because it is about 6 times faster than ``mu1_ppf`` (0.19 s
-against 1.1 s per 1e6 draws on a 2-vCPU x86-64 machine).
+longer paths, one numpy ``Philox`` re-keyed per path in a loop.  A walk
+of more than one 16384-path chunk runs its chunks on up to
+``worker_count()`` threads.  The associated walk consumes streams per
+fixed-size path block instead, because its multiplier sampler is
+rejection-based with a data-dependent draw count; blocks are tied to
+path indices, not workers, so the same reproducibility guarantee holds.
+The rejection sampler is kept because it is about 6 times faster than
+``mu1_ppf`` (0.19 s against 1.1 s per 1e6 draws on a 2-vCPU x86-64
+machine).
 """
 
 from __future__ import annotations
@@ -78,10 +78,7 @@ _PHILOX_ROUNDS = 10
 # 5 us / 29 ns.  Measured on 32768 paths (2-vCPU x86-64, numpy 2.4): equal
 # at 160 draws with one worker; with two workers the loop also contends for
 # the interpreter lock and equality moves to about 290 draws.  No workload
-# sits between 160 and 290 draws.  The threshold also picks the thread
-# pool: walks above it run their chunks on worker threads (two cut the wall
-# time of a 497-draw walk by 14%), walks at or below it in a plain loop,
-# where threads bought no wall time and cost peak memory.
+# sits between 160 and 290 draws.
 _ARRAY_PHILOX_MAX_DRAWS = 160
 _MAX_BYTES = 8_000_000_000
 
@@ -97,7 +94,7 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Thread cap for long walks: the CPU count, at most 8."""
+    """Thread cap for the chunks of one walk: the CPU count, at most 8."""
     return min(os.cpu_count() or 1, 8)
 
 
@@ -310,10 +307,11 @@ def _simulate_chunk_quantile(cfg: WalkConfig, kind, kdraws: int, lo: int, hi: in
         switches[sl, i - 1] = q
 
 
-def _check_memory(paths: int, horizon: int, draws: int, workers: int):
+def _check_memory(paths: int, horizon: int, draws: int):
     """Raise ResourceError before allocating an ensemble of ``paths`` x
-    ``horizon`` whose ``workers`` chunks in flight each hold a block of
-    ``draws`` floats per path (the path's uniforms, for ``simulate``)."""
+    ``horizon`` whose chunks in flight, one per worker thread, each hold a
+    block of ``draws`` floats per path (the path's uniforms, for ``simulate``)."""
+    workers = min(worker_count(), -(-paths // _CHUNK))
     est = (paths * (4 * horizon + 2) + workers * min(paths, _CHUNK) * draws) * 8
     if est > _MAX_BYTES:
         raise ResourceError(
@@ -322,35 +320,33 @@ def _check_memory(paths: int, horizon: int, draws: int, workers: int):
         )
 
 
+def _run_chunks(n_items: int, task):
+    ranges = [(lo, min(lo + _CHUNK, n_items)) for lo in range(0, n_items, _CHUNK)]
+    workers = min(worker_count(), len(ranges))
+    if workers <= 1:
+        for lo, hi in ranges:
+            task(lo, hi)
+    else:
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda r: task(*r), ranges))
+
+
 def simulate(config: WalkConfig) -> WalkEnsemble:
     """Simulate ``config.paths`` independent trajectories.
 
     Path m draws from stream (config.seed, m); results are bit-identical
-    regardless of worker count.  Chunks of paths go to a thread pool only
-    when a path takes more than ``_ARRAY_PHILOX_MAX_DRAWS`` uniforms.
+    regardless of worker count.
     """
     m, n = config.paths, config.horizon
     kind = parse_convolution(config.convolution, config.alpha)
     kdraws = config.unit_step._draws
-    draws = kdraws + (n - 1) * (kdraws + kind._draws)
-    ranges = [(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
-    workers = min(worker_count(), len(ranges)) if draws > _ARRAY_PHILOX_MAX_DRAWS else 1
-    _check_memory(m, n, draws, workers)
+    _check_memory(m, n, kdraws + (n - 1) * (kdraws + kind._draws))
     states = np.empty((m, n + 1), dtype=float)
     steps = np.empty((m, n), dtype=float)
     thetas = np.empty((m, max(n - 1, 0)), dtype=float)
     switches = np.zeros((m, max(n - 1, 0)), dtype=bool)
     out = (states, steps, thetas, switches)
-
-    def task(r):
-        _simulate_chunk_quantile(config, kind, kdraws, *r, out)
-
-    if workers > 1:
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, ranges))
-    else:
-        for r in ranges:
-            task(r)
+    _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(config, kind, kdraws, lo, hi, out))
     return WalkEnsemble(config=config, states=states, steps=steps,
                         thetas=thetas, switches=switches)
 
@@ -366,15 +362,17 @@ def simulate_associated(config: WalkConfig) -> AssociatedWalkEnsemble:
     if config.convolution != "weak_kendall":
         raise ParameterError("the associated walk is defined for weak_kendall configs")
     m, n = config.paths, config.horizon
-    _check_memory(m, n, 2 * n, 1)
+    _check_memory(m, n, 2 * n)
     steps = np.empty((m, n), dtype=float)
     multipliers = np.empty((m, n), dtype=float)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
+
+    def task(lo, hi):
         rng = RngStream(config.seed, lo // _CHUNK)
         cnt = (hi - lo) * n
         steps[lo:hi] = np.asarray(config.unit_step.sample(rng, cnt)).reshape(hi - lo, n)
         multipliers[lo:hi] = sample_mu_alpha(config.alpha, rng, cnt).reshape(hi - lo, n)
+
+    _run_chunks(m, task)
     partial = np.zeros((m, n + 1), dtype=float)
     np.cumsum(steps * multipliers, axis=1, out=partial[:, 1:])
     return AssociatedWalkEnsemble(config=config, steps=steps,

@@ -449,9 +449,14 @@ def _chunk_threads(monkeypatch, cfg, workers):
     return simulate(cfg), seen
 
 
-def test_long_walk_runs_on_the_pool_with_identical_output(monkeypatch):
-    # 1 + 54 * 3 = 163 uniforms per path, over two chunks of paths
-    cfg = WalkConfig("kendall", 1.0, Pareto(2.0), 55, 17000, 31)
+@pytest.mark.parametrize("cfg", [
+    # 1 + 54 * 3 = 163 uniforms per path: the re-keying loop
+    WalkConfig("kendall", 1.0, Pareto(2.0), 55, 17000, 31),
+    # a MuAlpha mixture on the array generator, 4 + 2 * 7 = 18 uniforms
+    WalkConfig("weak_kendall", 0.8, FiniteMixture(((0.5, MuAlpha(0.6)), (0.5, MuAlpha(1.0)))),
+               3, 17000, 73),
+], ids=["rekeyed", "array"])
+def test_multi_chunk_walk_runs_on_the_pool_with_identical_output(monkeypatch, cfg):
     a, serial = _chunk_threads(monkeypatch, cfg, 1)
     b, pooled = _chunk_threads(monkeypatch, cfg, 4)
     assert serial == {threading.get_ident()}
@@ -460,11 +465,14 @@ def test_long_walk_runs_on_the_pool_with_identical_output(monkeypatch):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_short_walk_runs_chunks_in_a_loop(monkeypatch):
-    # 1 + 9 * 4 = 37 uniforms per path: two chunks, both on the caller's thread
-    cfg = WalkConfig("weak_kendall", 0.7, SymPareto(2.0), 10, 17000, 31)
-    _, seen = _chunk_threads(monkeypatch, cfg, 4)
-    assert seen == {threading.get_ident()}
+def test_associated_walk_independent_of_workers(monkeypatch):
+    cfg = WalkConfig("weak_kendall", 0.7, SymPareto(2.0), 3, 17000, 29)
+    monkeypatch.setattr(walks, "worker_count", lambda: 1)
+    a = simulate_associated(cfg)
+    monkeypatch.setattr(walks, "worker_count", lambda: 4)
+    b = simulate_associated(cfg)
+    for name in ("steps", "multipliers", "partial_sums"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 @pytest.mark.parametrize("horizon", [5, 55])
