@@ -51,13 +51,15 @@ from .measures import (
     Uniform01,
 )
 from .verify import SUITES, run_verification
-from .walks import WalkConfig, simulate
+from .walks import _MAX_BYTES, WalkConfig, simulate
 
 __all__ = ["parse_dist", "format_dist", "build_parser", "run", "main"]
 
 
 # paths per simulate CSV block; its values are held as Python objects
 _CSV_BLOCK_PATHS = 64
+# peak bytes per point of an nstep or transform table (measured: 170, 195)
+_GRID_POINT_BYTES = 200
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _WORD = re.compile(r"[a-z][a-z0-9_]*")
@@ -170,6 +172,9 @@ def _grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid needs finite lo < hi, got {text!r}")
     if count < 2:
         raise argparse.ArgumentTypeError(f"grid count must be at least 2, got {count}")
+    if count * _GRID_POINT_BYTES > _MAX_BYTES:
+        raise argparse.ArgumentTypeError(
+            f"grid of {count} points passes the {_MAX_BYTES / 1e9:.0f} GB memory limit")
     return np.linspace(lo, hi, count)
 
 

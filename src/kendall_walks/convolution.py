@@ -26,9 +26,9 @@ from .measures import (
     Distribution,
     FiniteMixture,
     Pareto,
-    RngStream,
     SymPareto,
     _check_positive,
+    _sized,
     symmetrized_atom,
 )
 
@@ -238,34 +238,31 @@ def _weak_transition(alpha, x, dx, u_q, u_t, u_r):
     return nxt, mult, q
 
 
-def kernel_sample(kind: Convolution, x, y, gen):
+def kernel_sample(kind: Convolution, x, y, rng: np.random.Generator):
     """Vectorized kernel draw at paired arguments (x_i, y_i).
 
     ``x`` and ``y`` broadcast to one shape, and the kind's ``_draws``
-    uniform blocks of that shape come from one ``gen.random`` call, in the
+    uniform blocks of that shape come from one ``rng.random`` call, in the
     order its ``_transition`` reads them (switch, tail, sign), whatever the
     switch outcome.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     kind._check_points(x, y)
-    return kind._transition(x, y, *gen.random((kind._draws,) + x.shape))[0]
+    return kind._transition(x, y, *rng.random((kind._draws,) + x.shape))[0]
 
 
 def convolve_sample(kind: Convolution, law1: Distribution, law2: Distribution,
-                    rng: RngStream, size=None):
-    """Draw from ``law1 (x) law2``: sample both laws, then the kernel.
+                    rng: np.random.Generator, size=None):
+    """Draw from ``law1 (x) law2``: sample both laws, then the kernel;
+    ``size`` as for ``Distribution.sample``.
 
     Draw order: the ``law1`` block, the ``law2`` block, then the kernel
     blocks, so output is reproducible for a fixed stream.
     """
-    scalar = size is None
-    n = 1 if scalar else int(size)
     kind._check_law(law1)
     kind._check_law(law2)
-    x = np.atleast_1d(law1.sample(rng, n))
-    y = np.atleast_1d(law2.sample(rng, n))
-    out = kernel_sample(kind, x, y, rng.generator)
-    return float(out[0]) if scalar else out
+    return _sized(size, lambda n: kernel_sample(
+        kind, law1.sample(rng, n), law2.sample(rng, n), rng))
 
 
 def _atom_list(law: Distribution):

@@ -1,20 +1,21 @@
 """Probability laws used throughout the package.
 
-Every law exposes the same small interface: ``sample`` (by default the
-quantile ``ppf`` of the stream's uniforms), ``cdf`` (right continuous),
-``pdf`` (density of the absolutely continuous part), ``atoms``,
-``truncated_alpha_moment`` and a ``support`` descriptor.  Laws
-are frozen dataclasses, so structural equality works and they can be used
-as dictionary keys.
+Every law exposes the same small interface: ``sample``, ``cdf`` (right
+continuous), ``pdf`` (density of the absolutely continuous part), ``atoms``,
+``truncated_alpha_moment`` and a ``support`` descriptor.  Laws are frozen
+dataclasses, so structural equality works and they can be used as
+dictionary keys.
 
 A walk's step takes ``_draws`` uniforms of its path stream, and the law
 maps each ``(m, _draws)`` block to m draws in ``_from_uniforms``: by
 default one uniform through ``ppf``, so a law with a quantile needs no
 edit in :mod:`.walks`.  ``Dirac`` takes none and ``MuAlpha`` three.
 
-Random draws go through :class:`RngStream`, a thin wrapper over numpy's
-counter-based Philox generator: distinct ``(seed, stream_id)`` pairs give
-independent streams, identical pairs reproduce draws bit for bit.
+Every sampler takes any numpy Generator and keeps one ``size`` rule
+(``_sized``); a law supplies n draws through ``_sample(rng, n)``, by default
+``ppf`` of n uniforms.  :class:`RngStream` is the Generator on the Philox
+stream keyed by ``(seed, stream_id)``: distinct pairs give independent
+streams, identical pairs reproduce draws bit for bit.
 """
 
 from __future__ import annotations
@@ -72,18 +73,21 @@ def _check_seed(name, value, span=0) -> int:
     return seed
 
 
-class RngStream:
-    """Reproducible random stream keyed by ``(seed, stream_id)``."""
+class RngStream(np.random.Generator):
+    """Numpy Generator on the Philox stream keyed by ``(seed, stream_id)``."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self.generator = np.random.Generator(
-            np.random.Philox(key=philox_key(seed, stream_id))
-        )
+        key = philox_key(_check_seed("seed", seed), _check_seed("stream_id", stream_id))
+        super().__init__(np.random.Philox(key=key))
 
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+def _sized(size, draw):
+    """The ``size`` rule of every sampler, over ``draw(n)``, an array of n
+    draws: ``None`` gives one draw as a float, an integer n >= 0 the 1-D
+    float array of n draws, anything else raises ParameterError."""
+    if size is None:
+        return float(draw(1)[0])
+    return np.asarray(draw(_check_int("size", size, 0)), dtype=float)
 
 
 def _as_array(x):
@@ -110,9 +114,13 @@ class Distribution:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    def sample(self, rng: RngStream, size=None):
-        """Draw through the quantile: ``ppf`` of ``size`` stream uniforms."""
-        return self.ppf(rng.generator.random(size))
+    def sample(self, rng: np.random.Generator, size=None):
+        """A float for ``size=None``, else a 1-D float array (see ``_sized``)."""
+        return _sized(size, lambda n: self._sample(rng, n))
+
+    def _sample(self, rng, n):
+        """n draws as an array: by default ``ppf`` of n uniforms of ``rng``."""
+        return self.ppf(rng.random(n))
 
     def ppf(self, u):
         raise NotImplementedError
@@ -211,10 +219,8 @@ class Dirac(Distribution):
     def support(self):
         return (self.location, self.location)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.location
-        return np.full(size, self.location, dtype=float)
+    def _sample(self, rng, n):
+        return np.full(n, self.location, dtype=float)
 
     def cdf(self, x):
         arr, scalar = _as_array(x)
@@ -347,9 +353,8 @@ class Beta(Distribution):
         arr, scalar = _as_array(u)
         return _ret(special.betaincinv(self.a, self.b, arr), scalar)
 
-    def sample(self, rng, size=None):
-        out = rng.generator.beta(self.a, self.b, size=size)
-        return float(out) if size is None else out
+    def _sample(self, rng, n):
+        return rng.beta(self.a, self.b, n)
 
     def cdf(self, x):
         arr, scalar = _as_array(x)
@@ -397,9 +402,8 @@ class Gamma(Distribution):
         arr, scalar = _as_array(u)
         return _ret(special.gammaincinv(self.shape, arr) / self.rate, scalar)
 
-    def sample(self, rng, size=None):
-        out = rng.generator.gamma(self.shape, 1.0 / self.rate, size=size)
-        return float(out) if size is None else out
+    def _sample(self, rng, n):
+        return rng.gamma(self.shape, 1.0 / self.rate, n)
 
     # rate * x may overflow to inf, where gammainc(a, inf) is 1 and exp(-inf) 0
     def cdf(self, x):
@@ -524,15 +528,15 @@ def mu1_ppf(u):
     return _ret(x, scalar)
 
 
-def _mu1_proposals(gen, k):
+def _mu1_proposals(rng, k):
     """One rejection round: k envelope draws and their accept mask.
 
     Envelope: uniform on [-2, 2] with weight 1/2, density ~ x^(-2) on
     |x| > 2 with weight 1/2; overall acceptance rate is pi/4.
     """
-    u_branch = gen.random(k)
-    u_pos = gen.random(k)
-    u_acc = gen.random(k)
+    u_branch = rng.random(k)
+    u_pos = rng.random(k)
+    u_acc = rng.random(k)
     core = u_branch < 0.5
     sign = np.where(u_branch < 0.75, 1.0, -1.0)
     x = np.where(core, -2.0 + 4.0 * u_pos, sign * 2.0 / (1.0 - u_pos))
@@ -542,13 +546,13 @@ def _mu1_proposals(gen, k):
     return x, u_acc < np.where(core, ratio_core, 0.5 * one_minus_cos)
 
 
-def _sample_mu1(gen, size):
-    out = np.empty(size, dtype=float)
+def _sample_mu1(rng, n):
+    out = np.empty(n, dtype=float)
     have = 0
-    while have < size:
-        need = size - have
+    while have < n:
+        need = n - have
         k = int(need / 0.75) + 8
-        x, acc = _mu1_proposals(gen, k)
+        x, acc = _mu1_proposals(rng, k)
         good = x[acc]
         take = min(need, good.size)
         out[have : have + take] = good[:take]
@@ -556,21 +560,19 @@ def _sample_mu1(gen, size):
     return out
 
 
-def sample_mu_alpha(alpha: float, rng: RngStream, size=None):
-    """Draw from the law with characteristic function ``(1 - |t|^alpha)_+``.
+def sample_mu_alpha(alpha: float, rng: np.random.Generator, size=None):
+    """Draw from the law with characteristic function ``(1 - |t|^alpha)_+``;
+    ``size`` as for ``Distribution.sample``.
 
     Uses the factorization through the alpha = 1 law: X = Y * W with
-    Y ~ mu_1 and W equal to 1 with probability alpha, otherwise a
-    Pareto(alpha) draw.
+    Y ~ mu_1 drawn first and W then equal to 1 with probability alpha,
+    otherwise a Pareto(alpha) draw (W takes no uniforms at alpha = 1).
     """
     _check_positive("alpha", alpha, 1.0)
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    gen = rng.generator
-    y = _sample_mu1(gen, n)
-    if alpha < 1.0:
-        y = mu1_to_mu_alpha(alpha, y, gen.random(n), gen.random(n))
-    return float(y[0]) if scalar else y
+    if alpha == 1.0:
+        return _sized(size, lambda n: _sample_mu1(rng, n))
+    return _sized(size, lambda n: mu1_to_mu_alpha(
+        alpha, _sample_mu1(rng, n), rng.random(n), rng.random(n)))
 
 
 def mu1_to_mu_alpha(alpha, y, u_comp, u_par):
@@ -597,8 +599,8 @@ class MuAlpha(Distribution):
     def support(self):
         return (-math.inf, math.inf)
 
-    def sample(self, rng, size=None):
-        return sample_mu_alpha(self.alpha, rng, size)
+    def _sample(self, rng, n):
+        return sample_mu_alpha(self.alpha, rng, n)
 
     def _from_uniforms(self, u):
         return mu1_to_mu_alpha(self.alpha, mu1_ppf(u[:, 0]), u[:, 1], u[:, 2])
@@ -683,11 +685,9 @@ class FiniteMixture(Distribution):
                 out[mask] = draw(law, mask)
         return out
 
-    def sample(self, rng, size=None):
-        scalar = size is None
-        u = rng.generator.random(1 if scalar else int(size))
-        out = self._by_component(u, lambda law, mask: law.sample(rng, int(mask.sum())))
-        return float(out[0]) if scalar else out
+    def _sample(self, rng, n):
+        return self._by_component(rng.random(n),
+                                  lambda law, mask: law.sample(rng, int(mask.sum())))
 
     def _from_uniforms(self, u):
         return self._by_component(u[:, 0], lambda law, mask: law._from_uniforms(u[mask, 1:]))
@@ -735,9 +735,8 @@ class Scaled(Distribution):
         a, b = lo * self.factor, hi * self.factor
         return (min(a, b), max(a, b))
 
-    def sample(self, rng, size=None):
-        out = self.base.sample(rng, size)
-        return out * self.factor
+    def _sample(self, rng, n):
+        return self.base.sample(rng, n) * self.factor
 
     def cdf(self, x):
         arr, scalar = _as_array(x)

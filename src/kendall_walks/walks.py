@@ -369,7 +369,7 @@ def simulate_associated(config: WalkConfig) -> AssociatedWalkEnsemble:
     def task(lo, hi):
         rng = RngStream(config.seed, lo // _CHUNK)
         cnt = (hi - lo) * n
-        steps[lo:hi] = np.asarray(config.unit_step.sample(rng, cnt)).reshape(hi - lo, n)
+        steps[lo:hi] = config.unit_step.sample(rng, cnt).reshape(hi - lo, n)
         multipliers[lo:hi] = sample_mu_alpha(config.alpha, rng, cnt).reshape(hi - lo, n)
 
     _run_chunks(m, task)

@@ -246,6 +246,9 @@ def test_usage_errors_exit_two(tmp_path):
     assert run(["simulate", "--alpha", "-1", "--out", "x.csv"]) == 2
     assert run(["nstep", "--grid", "junk", "--out", "x.csv"]) == 2
     assert run(["nstep", "--grid", "1:2", "--out", "x.csv"]) == 2
+    # a grid past the memory limit is refused before it is allocated
+    assert run(["nstep", "--grid", "1:2:1000000000000000", "--out", "x.csv"]) == 2
+    assert run(["transform", "--grid", "1:2:1000000000000000", "--out", "x.csv"]) == 2
     assert run(["simulate", "--step", "mix:0.9*dirac:1", "--out", "x.csv"]) == 2
     assert run(["bogus"]) == 2
     assert run(["simulate", "--n", "0", "--out", "x.csv"]) == 2

@@ -135,9 +135,9 @@ def test_convolve_atomic_rejects_continuous_parts():
 
 
 def test_kendall_kernel_sample_statistics():
-    gen = RngStream(5, 0).generator
+    rng = RngStream(5, 0)
     n = 40000
-    vals = kernel_sample(Kendall(1.0), np.ones(n), np.full(n, 2.0), gen)
+    vals = kernel_sample(Kendall(1.0), np.ones(n), np.full(n, 2.0), rng)
     stay = vals == 2.0
     assert abs(np.mean(stay) - 0.5) < 3 * 0.5 / np.sqrt(n)
     tail = vals[~stay]
@@ -145,23 +145,23 @@ def test_kendall_kernel_sample_statistics():
 
 
 def test_weak_kernel_modulus_matches_kendall():
-    gen1 = RngStream(6, 0).generator
-    gen2 = RngStream(6, 1).generator
+    rng1 = RngStream(6, 0)
+    rng2 = RngStream(6, 1)
     n = 40000
-    weak = kernel_sample(WeakKendall(1.0), np.ones(n), np.full(n, -2.0), gen1)
-    kend = kernel_sample(Kendall(1.0), np.ones(n), np.full(n, 2.0), gen2)
+    weak = kernel_sample(WeakKendall(1.0), np.ones(n), np.full(n, -2.0), rng1)
+    kend = kernel_sample(Kendall(1.0), np.ones(n), np.full(n, 2.0), rng2)
     assert ks_two_sample(np.abs(weak), kend) <= 3 * KS_COEFF * np.sqrt(2.0 / n)
     assert abs(np.mean(np.sign(weak))) < 3 / np.sqrt(n)
 
 
 def test_kernel_sample_dispatch_exact_kinds():
-    gen = RngStream(7, 0).generator
+    rng = RngStream(7, 0)
     x = np.array([1.0, 3.0])
     y = np.array([2.0, 2.0])
-    assert np.array_equal(kernel_sample(MaxConv(), x, y, gen), np.array([2.0, 3.0]))
-    got = kernel_sample(AlphaConv(2.0), x, y, gen)
+    assert np.array_equal(kernel_sample(MaxConv(), x, y, rng), np.array([2.0, 3.0]))
+    got = kernel_sample(AlphaConv(2.0), x, y, rng)
     assert np.max(np.abs(got - np.sqrt(x**2 + y**2))) < 1e-15
-    sym = kernel_sample(SymmetricConv(), np.ones(4000), np.full(4000, 2.0), gen)
+    sym = kernel_sample(SymmetricConv(), np.ones(4000), np.full(4000, 2.0), rng)
     assert set(np.unique(sym)) == {1.0, 3.0}
     assert abs(np.mean(sym == 3.0) - 0.5) < 3 * 0.5 / np.sqrt(4000)
 
@@ -170,11 +170,11 @@ def test_kernel_sample_broadcasts_before_drawing():
     # a scalar argument against an array takes one uniform per output,
     # not one switch shared by every pair
     n = 4000
-    gen = RngStream(12, 0).generator
-    sym = kernel_sample(SymmetricConv(), 1.0, np.full(n, 2.0), gen)
+    rng = RngStream(12, 0)
+    sym = kernel_sample(SymmetricConv(), 1.0, np.full(n, 2.0), rng)
     assert sym.shape == (n,)
     assert abs(np.mean(sym == 3.0) - 0.5) < 3 * 0.5 / np.sqrt(n)
-    kend = kernel_sample(Kendall(1.0), np.ones(1), np.full(n, 2.0), gen)
+    kend = kernel_sample(Kendall(1.0), np.ones(1), np.full(n, 2.0), rng)
     assert abs(np.mean(kend > 2.0) - 0.5) < 3 * 0.5 / np.sqrt(n)
 
 
@@ -188,11 +188,11 @@ def test_kernel_sample_reads_the_kinds_draws(kind, draws):
     # blocks, in order, and hands them to the kind's _transition
     assert kind._draws == draws
     x, y = np.array([0.5, 1.0, 3.0]), np.array([2.0, 1.0, 1.5])
-    gen, ref = RngStream(13, 0).generator, RngStream(13, 0).generator
-    got = kernel_sample(kind, x, y, gen)
+    rng, ref = RngStream(13, 0), RngStream(13, 0)
+    got = kernel_sample(kind, x, y, rng)
     u = [ref.random(3) for _ in range(draws)]
     assert np.array_equal(got, kind._transition(x, y, *u)[0])
-    assert gen.random() == ref.random()
+    assert rng.random() == ref.random()
 
 
 def test_kernel_sample_rejects_a_kind_without_a_transition():
@@ -200,7 +200,7 @@ def test_kernel_sample_rejects_a_kind_without_a_transition():
         name = "foreign"
 
     with pytest.raises(ParameterError, match="unknown convolution kind"):
-        kernel_sample(Foreign(), np.ones(2), np.ones(2), RngStream(14, 0).generator)
+        kernel_sample(Foreign(), np.ones(2), np.ones(2), RngStream(14, 0))
 
 
 def test_weak_transition_ties_take_first_sign():
@@ -216,11 +216,11 @@ def test_weak_transition_ties_take_first_sign():
     "kind", [Kendall(1.0), WeakKendall(0.5), MaxConv(), AlphaConv(2.0), SymmetricConv()]
 )
 def test_kernel_sample_rejects_nan(kind):
-    gen = RngStream(10, 0).generator
+    rng = RngStream(10, 0)
     with pytest.raises(SupportError):
-        kernel_sample(kind, np.array([1.0, np.nan]), np.array([1.0, 2.0]), gen)
+        kernel_sample(kind, np.array([1.0, np.nan]), np.array([1.0, 2.0]), rng)
     with pytest.raises(SupportError):
-        kernel_sample(kind, np.array([1.0]), np.array([np.nan]), gen)
+        kernel_sample(kind, np.array([1.0]), np.array([np.nan]), rng)
     with pytest.raises(SupportError):
         kernel(kind, 2.0, np.nan)
     with pytest.raises(SupportError):
@@ -245,8 +245,8 @@ def test_kernel_law_matches_sampler(kind, a, b):
     law = kernel(kind, a, b)
     assert isinstance(law, Distribution)
     n = 40000
-    gen = RngStream(11, 0).generator
-    vals = kernel_sample(kind, np.full(n, a), np.full(n, b), gen)
+    rng = RngStream(11, 0)
+    vals = kernel_sample(kind, np.full(n, a), np.full(n, b), rng)
     assert ks_statistic(vals, law.cdf, atoms=law.atoms()) <= _band(n)
 
 

@@ -25,6 +25,7 @@ from kendall_walks import (
     Uniform01,
     WalkConfig,
     convolve_sample,
+    kernel_sample,
     ks_statistic,
     mu1_cdf,
     mu1_pdf,
@@ -59,20 +60,61 @@ def test_philox_key_packs_seed_and_stream():
 
 
 def test_rng_stream_reproducible_and_separated():
-    a = RngStream(11, 4).generator.random(6)
-    b = RngStream(11, 4).generator.random(6)
-    c = RngStream(11, 5).generator.random(6)
-    d = RngStream(12, 4).generator.random(6)
+    a = RngStream(11, 4).random(6)
+    b = RngStream(11, 4).random(6)
+    c = RngStream(11, 5).random(6)
+    d = RngStream(12, 4).random(6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
 
 
-def test_rng_stream_generator_attribute_is_stable():
+_CONTRACT_LAWS = (
+    Dirac(1),
+    Pareto(2.0),
+    SymPareto(1.5),
+    Beta(2.0, 3.0),
+    Gamma(2.0, 1.5),
+    Uniform01(),
+    MuAlpha(0.6),
+    FiniteMixture(((0.5, Dirac(1.0)), (0.5, Pareto(2.0)))),
+    Scaled(Gamma(2, 1), -2),
+    FiniteMixture(((0.3, MuAlpha(1.0)), (0.7, SymPareto(2.0)))),
+)
+
+
+@pytest.mark.parametrize("law", _CONTRACT_LAWS, ids=repr)
+def test_sampler_contract(law):
+    # one size rule: None gives a float, an integer n >= 0 a 1-D float
+    # array of n draws, anything else ParameterError
     rng = RngStream(3, 0)
-    gen = rng.generator
-    gen.random()
-    assert rng.generator is gen
+    assert type(law.sample(rng)) is float
+    for n in (0, 5):
+        out = law.sample(rng, n)
+        assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (n,)
+    for bad in (2.5, True, (2, 2), -1, "3"):
+        with pytest.raises(ParameterError):
+            law.sample(rng, bad)
+    # any numpy Generator is a stream
+    assert law.sample(np.random.default_rng(0), 3).shape == (3,)
+
+
+def test_samplers_take_any_numpy_generator():
+    assert type(sample_mu_alpha(0.5, np.random.default_rng(0))) is float
+    assert convolve_sample(Kendall(1.0), Dirac(1.0), Pareto(2.0),
+                           np.random.default_rng(0), 4).shape == (4,)
+    assert kernel_sample(Kendall(1.0), [1.0, 2.0], 1.5, np.random.default_rng(0)).shape == (2,)
+    for bad in (2.5, True, (2, 2), -1, "3"):
+        with pytest.raises(ParameterError):
+            sample_mu_alpha(0.5, RngStream(0), bad)
+        with pytest.raises(ParameterError):
+            convolve_sample(Kendall(1.0), Dirac(1.0), Dirac(1.0), RngStream(0), bad)
+    for seed, stream_id in ((0, 0), (11, 4), (2**64 - 1, 2**64 - 1)):
+        rng = RngStream(seed, stream_id)
+        ref = np.random.Generator(np.random.Philox(key=philox_key(seed, stream_id)))
+        assert isinstance(rng, np.random.Generator)
+        assert np.array_equal(rng.random(6), ref.random(6))
+        assert rng.gamma(2.0) == ref.gamma(2.0)
 
 
 def test_samplers_match_cdfs():
@@ -370,7 +412,7 @@ def test_law_methods_at_extreme_arguments():
 
 def test_mu1_ppf_inverts_cdf():
     edges = np.array([0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
-    u = np.concatenate([RngStream(61, 0).generator.random(100_000), edges])
+    u = np.concatenate([RngStream(61, 0).random(100_000), edges])
     x = mu1_ppf(u)
     assert np.all(np.isfinite(x))
     assert np.max(np.abs(mu1_cdf(x) - u)) <= 2e-15
@@ -383,15 +425,15 @@ def test_mu1_ppf_inverts_cdf():
 
 def test_mu1_ppf_antisymmetric():
     # for u >= 1/2 the reflection 1 - u is exact, so Q(1 - u) = -Q(u) bit for bit
-    u = 0.5 + 0.5 * RngStream(62, 0).generator.random(100_000)
+    u = 0.5 + 0.5 * RngStream(62, 0).random(100_000)
     assert np.array_equal(mu1_ppf(1.0 - u), -mu1_ppf(u))
     assert mu1_ppf(0.5) == 0.0
 
 
 def test_mu1_rejection_acceptance_rate():
-    gen = RngStream(42, 0).generator
+    rng = RngStream(42, 0)
     k = 200000
-    _, accept = _mu1_proposals(gen, k)
+    _, accept = _mu1_proposals(rng, k)
     assert abs(np.mean(accept) - np.pi / 4) < 0.01
 
 
@@ -441,6 +483,11 @@ def test_parameter_validation():
         MuAlpha(1.2)
     with pytest.raises(ParameterError):
         sample_mu_alpha(0.0, RngStream(0, 0), size=4)
+    # a seed or stream id outside [0, 2^64) would alias the one it equals mod 2^64
+    for seed, stream_id in ((-1, 0), (2**64, 0), (2**64 + 3, 0), (0, -1), (0, 2**64),
+                            (1.5, 0), (True, 0), ("3", 0)):
+        with pytest.raises(ParameterError):
+            RngStream(seed, stream_id)
     # bools and non-real values are not parameters, as for integer arguments
     for bad in (True, np.True_, False, "2", None, 2.0 + 0j):
         with pytest.raises(ParameterError):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,18 @@ def test_moment_check_unit_atom_walks():
     assert len(report.checks) == 10
     sym = WalkConfig("weak_kendall", 0.5, symmetrized_atom(1.0), 5, 4000, 76)
     assert moment_check(simulate(sym), ns=(1, 2, 3)).passed
+
+
+def test_moment_check_trims_no_path_below_one_hundred():
+    # the top 1% of |X_n|^alpha is trimmed, so one path leaves a finite mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_verification("moments", {"paths": 1})
+    assert report.passed
+    assert "MC trimmed mean nan" not in report.to_json()
+    ens = simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 3, 99, 78))
+    detail = moment_check(ens, ns=(3,)).checks[0].detail
+    assert f"MC trimmed mean {np.mean(ens.states[:, 3]):.4f} " in detail
 
 
 def test_moment_check_rejects_general_steps():

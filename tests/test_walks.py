@@ -31,6 +31,7 @@ from kendall_walks import (
     ks_two_sample,
     nstep_cdf,
     nstep_delta1_cdf,
+    philox_key,
     simulate,
     simulate_associated,
     symmetrized_atom,
@@ -65,7 +66,7 @@ def _replay_kendall(cfg):
         states[m, 1] = x
         for i in range(1, cfg.horizon):
             dx = float(cfg.unit_step.sample(rng))
-            u_q, u_t = rng.generator.random(), rng.generator.random()
+            u_q, u_t = rng.random(), rng.random()
             x, mult, q = _kendall_transition(cfg.alpha, np.float64(x), np.float64(dx),
                                              u_q, u_t)
             steps[m, i] = dx
@@ -80,19 +81,21 @@ def test_path_uniform_block_matches_streams():
     # from the array Philox up to the crossover and the per-path loop above
     for m in (0, 1, 5, 63):
         row = _path_uniform_block(17, m, m + 1, 16)[0]
-        want = RngStream(17, m).generator.random(16)
+        want = RngStream(17, m).random(16)
         assert np.array_equal(row, want)
     block = _path_uniform_block(17, 0, 64, 16)
-    assert np.array_equal(block[5], RngStream(17, 5).generator.random(16))
+    assert np.array_equal(block[5], RngStream(17, 5).random(16))
     cross = _ARRAY_PHILOX_MAX_DRAWS
-    # seeds beyond 64 bits and negative ones are masked by philox_key
+    # seeds beyond 64 bits and negative ones are masked by philox_key (which
+    # RngStream refuses them for), so the reference is numpy's own Philox
     for seed in (0, 2**64 - 1, -1, 2**64 + 3):
         for draws in (0, 1, 3, 4, 5, cross, cross + 1):
             for lo in (0, 2**40):
                 block = _path_uniform_block(seed, lo, lo + 3, draws)
                 assert block.shape == (3, draws)
                 for i in range(3):
-                    want = RngStream(seed, lo + i).generator.random(draws)
+                    key = philox_key(seed, lo + i)
+                    want = np.random.Generator(np.random.Philox(key=key)).random(draws)
                     assert np.array_equal(block[i], want), (seed, draws, lo, i)
     # uneven [lo, hi) pieces of [0, n) give the rows of one block
     cuts = (0, 1, 8, 9, 30, 41)
@@ -128,7 +131,7 @@ def test_weak_engine_matches_scalar_replay():
         x = ens.states[m, 1]
         for i in range(1, cfg.horizon):
             dx = float(cfg.unit_step.sample(rng))
-            u_q, u_t, u_r = (rng.generator.random() for _ in range(3))
+            u_q, u_t, u_r = (rng.random() for _ in range(3))
             got, mult, q = _weak_transition(cfg.alpha, np.float64(x), np.float64(dx),
                                             u_q, u_t, u_r)
             assert np.isclose(ens.steps[m, i], dx, rtol=5e-16, atol=0.0)
@@ -342,7 +345,7 @@ def test_semigroup_two_sample():
     four = simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 4, n, 37)).states[:, 4]
     a = simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 2, n, 38)).states[:, 2]
     b = simulate(WalkConfig("kendall", 1.0, Dirac(1.0), 2, n, 39)).states[:, 2]
-    glued = kernel_sample(Kendall(1.0), a, b, RngStream(40, 0).generator)
+    glued = kernel_sample(Kendall(1.0), a, b, RngStream(40, 0))
     assert ks_two_sample(four, glued) <= 3 * KS_COEFF * np.sqrt(2.0 / n)
 
 
