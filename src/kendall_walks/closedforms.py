@@ -139,6 +139,21 @@ def sym_nstep_pdf(n: int, alpha: float, x):
     return _ret(0.5 * np.asarray(nstep_delta1_pdf(n, alpha, np.abs(arr))), scalar)
 
 
+def _beta3_expect(k: int, w: float, lo: float) -> float:
+    """E[(1 + w Y)^(-2); Y >= lo] with Y ~ Beta(3, k-1), w >= 0: the one
+    integral of both increment laws (``joint_density`` integrated over v
+    in closed form, with Y = 1/u)."""
+    lnorm = special.betaln(3.0, k - 1.0)
+
+    def integrand(y):
+        return (1.0 + w * y) ** -2 * math.exp(
+            2.0 * math.log(y) + (k - 2.0) * math.log1p(-y) - lnorm
+        )
+
+    val, _ = integrate.quad(integrand, lo, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return val
+
+
 def increment_cdf(k: int, w: float) -> float:
     """P(X_{k+1} - X_k <= w) for the unit-atom walk at alpha = 1, k >= 2.
 
@@ -147,19 +162,10 @@ def increment_cdf(k: int, w: float) -> float:
     value at zero).
     """
     k = _check_int("k", k, 2)
-    if math.isnan(w):
-        raise ParameterError(f"w must not be NaN, got {w!r}")
+    _check_real("w", w, "a real number or +-inf", finite=False)
     if w <= 0:
         return (k - 1.0) / (k + 1.0)
-    lnorm = special.betaln(3.0, k - 1.0)
-
-    def integrand(y):
-        return (1.0 + w * y) ** -2 * math.exp(
-            2.0 * math.log(y) + (k - 2.0) * math.log1p(-y) - lnorm
-        )
-
-    e_val, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-10, limit=200)
-    return 1.0 - 2.0 / (k + 1.0) * e_val
+    return 1.0 - 2.0 / (k + 1.0) * _beta3_expect(k, w, 0.0)
 
 
 def joint_density(k: int, u, v):
@@ -194,37 +200,21 @@ def increment_joint_prob(k: int, w: float, z: float) -> float:
     """P(X_{k+1} - X_k <= w, X_k <= z) for the unit-atom walk at alpha = 1.
 
     Stay part: int_1^z (1 - 1/s) dlaw_k(s) = (k-1)/(k+1) (1 - I_{1/z}(2, k));
-    move part: (2/(k+1)) double integral of joint_density over
-    {1 <= u <= z, u <= v <= u + w}.
+    move part: the integral of joint_density over {1 <= u <= z,
+    u <= v <= u + w}, (2/(k+1)) (P(Y >= 1/z) - E[(1 + w Y)^(-2); Y >= 1/z])
+    with Y ~ Beta(3, k-1).
     """
     k = _check_int("k", k, 2)
-    if math.isnan(w) or math.isnan(z):
-        raise ParameterError(f"w and z must not be NaN, got w={w!r}, z={z!r}")
+    _check_real("w", w, "a real number or +-inf", finite=False)
+    _check_real("z", z, "a real number or +-inf", finite=False)
     if w < 0 or z < 1:
         return 0.0
-    stay = (k - 1.0) / (k + 1.0) * (1.0 - special.betainc(2.0, k, min(1.0 / z, 1.0)))
-    if w == 0:
-        return stay
-
-    def inner(u):
-        val, _ = integrate.quad(
-            lambda v: joint_density(k, u, v), u, u + w, epsabs=1e-12, limit=100
-        )
-        return val
-
-    # weighted u-marginal is below k(k-1) u^-4, so the tail past u_cap
-    # holds less than 1e-12; integrate decade by decade so the adaptive
-    # rule never sees a domain orders wider than the mass
-    u_cap = (k * (k - 1.0) / 3e-12) ** (1.0 / 3.0)
-    hi = min(z, max(u_cap, 2.0))
-    move = 0.0
-    lo = 1.0
-    while lo < hi:
-        seg = min(lo * 10.0, hi)
-        val, _ = integrate.quad(inner, lo, seg, epsabs=1e-12, limit=200)
-        move += val
-        lo = seg
-    return stay + 2.0 / (k + 1.0) * move
+    lo = 1.0 / z
+    stay = (k - 1.0) / (k + 1.0) * (1.0 - special.betainc(2.0, k, lo))
+    # P(Y >= lo) - E, not E[1 - (1 + w Y)^(-2)], stays accurate at large w;
+    # P(Y >= lo) is read off the Beta(k-1, 3) law of 1 - Y (betaincc needs SciPy 1.11)
+    tail = special.betainc(k - 1.0, 3.0, 1.0 - lo)
+    return float(stay + 2.0 / (k + 1.0) * (tail - _beta3_expect(k, w, lo)))
 
 
 def mixture_power_pdf(n: int, alpha: float, x):
@@ -336,8 +326,7 @@ def transience_partial_sum(alpha: float, x: float, n_max: int | None = None,
     """
     _check_positive("alpha", alpha)
     _check_positive("tol", tol)
-    if not 0 <= x < math.inf:
-        raise ParameterError(f"threshold x must be finite and nonnegative, got {x!r}")
+    _check_real("threshold x", x, "finite and nonnegative", lambda v: v >= 0)
     if n_max is not None:
         n_max = _check_int("n_max", n_max, 0)
     if x < 1.0:

@@ -173,12 +173,12 @@ class Distribution:
             raise SupportError(f"law {self!r} is not carried by [0, inf)")
 
 
-def _check_real(name, value, domain="a finite real number", within=lambda v: True):
-    """Raise ParameterError unless ``value`` is a finite real number
-    (booleans and non-numbers are not) for which ``within`` holds;
-    ``domain`` describes the accepted values in the message."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not within(value)):
+def _check_real(name, value, domain="a finite real number", within=lambda v: True, finite=True):
+    """Raise ParameterError unless ``value`` is a real number, finite when
+    ``finite`` is set (booleans, NaN and non-numbers never are), for which
+    ``within`` holds; ``domain`` describes the accepted values in the message."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value)
+            or (finite and math.isinf(value)) or not within(value)):
         raise ParameterError(f"{name} must be {domain}, got {value!r}")
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
@@ -47,6 +47,7 @@ from .measures import (
     SymPareto,
     Uniform01,
     _check_int,
+    _check_positive,
     _check_seed,
     sample_mu_alpha,
     scale_law,
@@ -182,9 +183,9 @@ def ks_statistic(samples, cdf: Callable, atoms=()) -> float:
     right-continuous ``cdf``.
     """
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise ParameterError("ks_statistic needs at least one sample")
     ux, counts = np.unique(x, return_counts=True)
+    if x.size == 0 or np.isnan(ux[-1]):  # np.unique sorts NaN last
+        raise ParameterError("ks_statistic needs at least one sample, and no NaN")
     cum = np.cumsum(counts)
     n = x.size
     f_right = np.asarray(cdf(ux), dtype=float)
@@ -202,8 +203,8 @@ def ks_two_sample(a, b) -> float:
     """Two-sample KS distance (ties handled by right-continuous ECDFs)."""
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ParameterError("ks_two_sample needs nonempty samples")
+    if a.size == 0 or b.size == 0 or np.isnan(a[-1]) or np.isnan(b[-1]):  # NaN sorts last
+        raise ParameterError("ks_two_sample needs nonempty samples without NaN")
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
@@ -251,8 +252,7 @@ class EnvelopeSpec:
     exact = False
 
     def __post_init__(self):
-        if not (0.0 < self.kappa <= 2.0):
-            raise ParameterError(f"kappa must lie in (0, 2], got {self.kappa!r}")
+        _check_positive("kappa", self.kappa, 2.0)
         object.__setattr__(self, "n0", _check_int("n0", self.n0, 1))
 
     def _violations(self, abs_states, ns, alpha):
@@ -294,6 +294,8 @@ class PowerLawEnvelope:
     def __post_init__(self):
         closedforms._check_envelope_r(self.r)
         object.__setattr__(self, "n0", _check_int("n0", self.n0, 2))
+        if not isinstance(self.check_ns, Iterable):
+            raise ParameterError(f"check_ns must be a sequence of integers, got {self.check_ns!r}")
         object.__setattr__(self, "check_ns",
                            tuple(_check_int("check_ns entry", n) for n in self.check_ns))
 

@@ -46,7 +46,7 @@ def phi(law: Distribution, alpha: float, t):
     _check_positive("alpha", alpha)
     law._require_half_line()
     arr, scalar = _as_array(t)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ParameterError("phi is defined for t >= 0")
     pos = arr > 0
     safe = np.where(pos, arr, 1.0)
@@ -67,7 +67,7 @@ def phi_prime(law: Distribution, alpha: float, t):
     _check_positive("alpha", alpha)
     law._require_half_line()
     arr, scalar = _as_array(t)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise ParameterError("phi_prime is defined for t > 0")
     out = -alpha * arr ** (alpha - 1.0) * np.asarray(
         law.truncated_alpha_moment(1.0 / arr, alpha), dtype=float
@@ -90,6 +90,8 @@ def _nstep_parts(law: Distribution, alpha: float, n: int, x):
     law._require_half_line()
     n = _check_int("n", n, 1)
     arr, scalar = _as_array(x)
+    if np.isnan(arr).any():
+        raise ParameterError("the n-step law is not defined at x = NaN")
     pos = arr > 0
     safe = np.where(pos, arr, 1.0)
     with np.errstate(over="ignore"):
@@ -137,9 +139,14 @@ def nstep_pdf(law: Distribution, alpha: float, n: int, x):
 
 
 def _probe_transform(phi_fn, n_points: int = 49):
-    ts = np.geomspace(1e-6, 1e6, n_points)
-    vals = np.array([float(phi_fn(t)) for t in ts])
-    at_zero = float(phi_fn(0.0))
+    ts = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, n_points)))
+    try:
+        vals = np.asarray(phi_fn(ts), dtype=float)
+    except TypeError as exc:
+        raise TransformError(f"phi must take an array of t: {exc}") from exc
+    if vals.shape != ts.shape:
+        raise TransformError(f"phi returned shape {vals.shape} for {ts.size} points")
+    at_zero, ts, vals = float(vals[0]), ts[1:], vals[1:]
     if abs(at_zero - 1.0) > 1e-9:
         raise TransformError(f"phi(0) = {at_zero!r}, expected 1")
     if np.any(np.diff(vals) > 1e-12):
@@ -157,32 +164,33 @@ def invert_transform(phi_fn, alpha: float, x, dphi=None):
 
         F(x) = phi(1/x) + x/alpha * d/dx[phi(1/x)].
 
-    ``dphi``, when given, must be the analytic derivative of ``phi_fn``;
-    otherwise the derivative of ``g(x) = phi(1/x)`` is taken by central
-    differences with step ``h = max(1e-6 x, 1e-9)`` plus one Richardson
-    extrapolation.  A probe grid guards against callables that are not
-    valid transforms (not nonincreasing, or phi(0) != 1).
+    ``phi_fn`` and ``dphi`` map an array of t to one value per entry and
+    are called on the whole grid at once.  ``dphi``, when given, must be
+    the analytic derivative of ``phi_fn``; otherwise the derivative of
+    ``g(x) = phi(1/x)`` is taken by central differences with step
+    ``h = max(1e-6 x, 1e-9)`` plus one Richardson extrapolation.  A probe
+    grid rejects callables that are not valid transforms (not
+    nonincreasing, phi(0) != 1, or not taking arrays).  x <= 0 gives 0.
     """
     _check_positive("alpha", alpha)
     _probe_transform(phi_fn)
     xs, scalar = _as_array(x)
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        if xi <= 0:
-            out[i] = 0.0
-            continue
-        gx = float(phi_fn(1.0 / xi))
-        if dphi is not None:
-            # d/dx phi(1/x) = -phi'(1/x) / x^2
-            deriv = -float(dphi(1.0 / xi)) / xi**2
-        else:
-            h = max(1e-6 * xi, 1e-9)
-
-            def g(z):
-                return float(phi_fn(1.0 / z)) if z > 0 else 1.0
-
-            d_h = (g(xi + h) - g(xi - h)) / (2.0 * h)
-            d_h2 = (g(xi + h / 2) - g(xi - h / 2)) / h
-            deriv = (4.0 * d_h2 - d_h) / 3.0
-        out[i] = gx + xi * deriv / alpha
+    if np.isnan(xs).any():
+        raise ParameterError("invert_transform is not defined at x = NaN")
+    pos = xs > 0
+    safe = np.where(pos, xs, 1.0)
+    with np.errstate(over="ignore"):  # 1/x overflows at subnormal x, x^2 at huge x
+        inv, sq = 1.0 / safe, safe**2
+    gx = np.asarray(phi_fn(inv), dtype=float)
+    if dphi is not None:  # d/dx phi(1/x) = -phi'(1/x) / x^2
+        deriv = -np.asarray(dphi(inv), dtype=float) / sq
+    else:
+        # g(z) = phi(1/z), and 1 for z <= 0, at x + h, x - h, x + h/2, x - h/2
+        h = np.maximum(1e-6 * safe, 1e-9)
+        zs = (safe + np.array([[1.0], [-1.0], [0.5], [-0.5]]) * h).ravel()
+        g = np.where(zs > 0, phi_fn(1.0 / np.where(zs > 0, zs, 1.0)), 1.0).reshape(4, -1)
+        d_h = (g[0] - g[1]) / (2.0 * h)
+        d_h2 = (g[2] - g[3]) / h
+        deriv = (4.0 * d_h2 - d_h) / 3.0
+    out = np.where(pos, gx + safe * deriv / alpha, 0.0)
     return _ret(_clip_unit(out, "invert_transform"), scalar)

@@ -199,11 +199,41 @@ def test_joint_density_increment_consistency():
 def test_increment_joint_prob_consistency():
     k, w = 3, 1.0
     assert abs(increment_joint_prob(k, w, 1e9) - increment_cdf(k, w)) < 1e-6
+    # exact limits: w = inf leaves the law of X_k, z = inf the increment law
+    for k in (2, 3, 10):
+        for z in (1.01, 2.0, 1e4):
+            got = increment_joint_prob(k, np.inf, z)
+            assert got == pytest.approx(nstep_delta1_cdf(k, 1.0, z), rel=0, abs=1e-15)
+        for w in (0.1, 1.0, 1e4):
+            got = increment_joint_prob(k, w, np.inf)
+            assert got == pytest.approx(increment_cdf(k, w), rel=0, abs=1e-15)
+        assert increment_joint_prob(k, np.inf, np.inf) == 1.0
+        assert increment_joint_prob(k, -np.inf, 2.0) == 0.0
+        assert increment_joint_prob(k, 1.0, -np.inf) == 0.0
+        assert increment_cdf(k, np.inf) == 1.0
     # joint probability is monotone in both arguments
     vals_z = [increment_joint_prob(2, 1.0, z) for z in (1.5, 2.0, 4.0)]
     assert np.all(np.diff(vals_z) > 0)
     vals_w = [increment_joint_prob(2, w, 2.0) for w in (0.2, 1.0, 3.0)]
     assert np.all(np.diff(vals_w) > 0)
+
+
+def test_increment_joint_prob_matches_joint_density():
+    # an oracle apart from the Beta(3, k-1) integral: the stay part
+    # int_1^z (1 - 1/s) f_k(s) ds plus the double integral of joint_density
+    # over {u <= z, u <= v <= u + w}
+    for k, w, z in ((2, 1.0, 2.0), (3, 0.5, 10.0), (7, 4.0, 3.0)):
+        move, _ = integrate.dblquad(
+            lambda v, u: joint_density(k, u, v),
+            1.0, z, lambda u: u, lambda u: u + w,
+            epsabs=1e-13, epsrel=1e-13,
+        )
+        stay, _ = integrate.quad(
+            lambda s: (1.0 - 1.0 / s) * nstep_delta1_pdf(k, 1.0, s), 1.0, z,
+            epsabs=1e-13, epsrel=1e-13,
+        )
+        want = stay + 2.0 / (k + 1.0) * move
+        assert abs(increment_joint_prob(k, w, z) - want) < 1e-9
 
 
 def test_mu1_nfold_recurrence_matches_quadrature():
@@ -341,6 +371,18 @@ def test_parameter_validation():
     ):
         with pytest.raises(ParameterError):
             call()
+    # booleans and strings are not real arguments
+    for bad in (True, np.True_, "1", None):
+        for call in (
+            lambda: increment_cdf(3, bad),
+            lambda: increment_joint_prob(3, bad, 2.0),
+            lambda: increment_joint_prob(3, 1.0, bad),
+            lambda: transience_partial_sum(1.0, bad),
+        ):
+            with pytest.raises(ParameterError):
+                call()
+    assert type(increment_cdf(3, np.float64(1.0))) is float
+    assert type(increment_joint_prob(3, np.float64(1.0), 2)) is float
     # n_max is a nonnegative integer and tol a positive finite number
     for n_max in (2.5, np.inf, np.nan, -1):
         with pytest.raises(ParameterError):

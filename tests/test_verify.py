@@ -80,6 +80,19 @@ def test_ks_two_sample_null_and_alternative():
     assert ks_two_sample(a, c) > 3 * KS_COEFF * np.sqrt(2.0 / n)
 
 
+def test_ks_statistics_reject_nan_samples():
+    # a NaN sample has no place in an ECDF: it would give a silent distance,
+    # or a NaN that a JSON report cannot carry
+    nan = float("nan")
+    for call in (
+        lambda: ks_two_sample([nan, 1.0], [1.0, 2.0]),
+        lambda: ks_two_sample([1.0, 2.0], [2.0, nan]),
+        lambda: ks_statistic([nan, 1.0], Pareto(2.0).cdf),
+    ):
+        with pytest.raises(ParameterError):
+            call()
+
+
 def test_empirical_chf_degenerate_and_two_point():
     est, se = empirical_chf(np.zeros(100), np.array([0.3, 1.0]))
     assert np.array_equal(est, np.ones(2))
@@ -114,9 +127,13 @@ def test_envelope_spec_validation():
             PowerLawEnvelope(r=bad)
         with pytest.raises(ParameterError):
             envelope_prob(60, bad)
-    for bad in ((55.5,), ("55",), (None,)):
+    for bad in ((55.5,), ("55",), (None,), 5):
         with pytest.raises(ParameterError):
             PowerLawEnvelope(r=1.0, check_ns=bad)
+    # kappa follows the package's rule for reals in (0, 2]
+    for bad in (True, "1", float("nan"), None):
+        with pytest.raises(ParameterError):
+            EnvelopeSpec(one, one, one, one, kappa=bad, n0=10)
 
 
 def test_envelope_check_power_law_passes():

@@ -1,5 +1,7 @@
 """Transform pair: forward moments route, n-step laws, inversion."""
 
+import math
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -12,6 +14,7 @@ from kendall_walks import (
     FiniteMixture,
     Gamma,
     Pareto,
+    ParameterError,
     TransformError,
     Uniform01,
     invert_transform,
@@ -190,6 +193,11 @@ def test_invert_transform_edge_values():
 def test_probe_rejects_invalid_transforms():
     with pytest.raises(TransformError):
         invert_transform(lambda t: 1.5 - np.asarray(t, dtype=float), 1.0, 2.0)
+    # transform callables take arrays and return one value per entry
+    with pytest.raises(TransformError):
+        invert_transform(lambda t: math.exp(-t), 1.0, 2.0)
+    with pytest.raises(TransformError):
+        invert_transform(lambda t: np.exp(-np.asarray(t)).sum(), 1.0, 2.0)
     with pytest.raises(TransformError):
         invert_transform(lambda t: np.asarray(t, dtype=float), 1.0, 2.0)
     with pytest.raises(TransformError):
@@ -228,3 +236,21 @@ def test_scalar_call_equals_array_element(law, alpha):
             got = call(x)
             assert type(got) is float
             assert got == want
+
+
+def test_nan_arguments_are_rejected():
+    # a NaN point raises instead of becoming a probability
+    nan = float("nan")
+    phi_fn = lambda t: np.maximum(1.0 - np.asarray(t, dtype=float), 0.0)
+    for call in (
+        lambda: phi(Dirac(1.0), 1.0, nan),
+        lambda: phi(Dirac(1.0), 1.0, np.array([0.5, nan])),
+        lambda: phi_prime(Dirac(1.0), 1.0, nan),
+        lambda: nstep_cdf(Dirac(1.0), 1.0, 2, nan),
+        lambda: nstep_cdf(Dirac(1.0), 1.0, 2, np.array([2.0, nan]), left=True),
+        lambda: nstep_pdf(Pareto(2.0), 1.0, 2, nan),
+        lambda: invert_transform(phi_fn, 1.0, nan),
+        lambda: invert_transform(phi_fn, 1.0, np.array([0.5, nan]), dphi=phi_fn),
+    ):
+        with pytest.raises(ParameterError):
+            call()
