@@ -157,14 +157,14 @@ def _beta3_expect(k: int, w: float, lo: float) -> float:
 def increment_cdf(k: int, w: float) -> float:
     """P(X_{k+1} - X_k <= w) for the unit-atom walk at alpha = 1, k >= 2.
 
-    Equals 1 - (2/(k+1)) E[(1 + w Y)^(-2)] with Y ~ Beta(3, k-1).  For
-    w <= 0 the atom mass (k-1)/(k+1) is returned (the right-continuous
-    value at zero).
+    Equals 1 - (2/(k+1)) E[(1 + w Y)^(-2)] with Y ~ Beta(3, k-1).  The
+    increment is never negative, so w < 0 gives 0, and w = 0 the atom
+    mass (k-1)/(k+1) of a step that stays.
     """
     k = _check_int("k", k, 2)
     _check_real("w", w, "a real number or +-inf", finite=False)
     if w <= 0:
-        return (k - 1.0) / (k + 1.0)
+        return 0.0 if w < 0 else (k - 1.0) / (k + 1.0)
     return 1.0 - 2.0 / (k + 1.0) * _beta3_expect(k, w, 0.0)
 
 

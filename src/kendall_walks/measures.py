@@ -2,7 +2,9 @@
 
 Every law exposes the same small interface: ``sample``, ``cdf`` (right
 continuous), ``pdf`` (density of the absolutely continuous part), ``atoms``,
-``truncated_alpha_moment`` and a ``support`` descriptor.  Laws are frozen
+``scaled_alpha_moment`` and a ``support`` descriptor: for a law of S on
+[0, inf), ``G(x) = E[(S/x)^alpha; S <= x]``, which lies in [0, F(x)], never
+overflows and is all the Williamson transform reads.  Laws are frozen
 dataclasses, so structural equality works and they can be used as
 dictionary keys.
 
@@ -80,6 +82,13 @@ class RngStream(np.random.Generator):
         key = philox_key(_check_seed("seed", seed), _check_seed("stream_id", stream_id))
         super().__init__(np.random.Philox(key=key))
 
+    def __reduce__(self):
+        # numpy's reduce rebuilds a plain Generator; keep the type and the state
+        return RngStream, (0,), self.bit_generator.state
+
+    def __setstate__(self, state):
+        self.bit_generator.state = state
+
 
 def _sized(size, draw):
     """The ``size`` rule of every sampler, over ``draw(n)``, an array of n
@@ -155,8 +164,8 @@ class Distribution:
             out = np.where(arr == loc, out - w, out)
         return _ret(out, scalar)
 
-    def truncated_alpha_moment(self, x, alpha: float):
-        """``int_{[0, x]} s^alpha nu(ds)`` for laws carried by [0, inf)."""
+    def scaled_alpha_moment(self, x, alpha: float):
+        """``G(x) = E[(S/x)^alpha; S <= x]`` for laws carried by [0, inf)."""
         self._require_half_line()
         raise NotImplementedError
 
@@ -240,11 +249,11 @@ class Dirac(Distribution):
     def _from_uniforms(self, u):
         return np.full(u.shape[0], self.location, dtype=float)
 
-    def truncated_alpha_moment(self, x, alpha):
+    def scaled_alpha_moment(self, x, alpha):
         self._require_half_line()
         arr, scalar = _as_array(x)
-        val = self.location**alpha
-        return _ret(np.where(arr >= self.location, val, 0.0), scalar)
+        ratio = self.location / np.where((arr >= self.location) & (arr > 0), arr, np.inf)
+        return _ret(ratio**alpha, scalar)
 
     def abs_law(self):
         return Dirac(abs(self.location))
@@ -282,15 +291,16 @@ class Pareto(Distribution):
         )
         return _ret(out, scalar)
 
-    def truncated_alpha_moment(self, x, alpha):
+    def scaled_alpha_moment(self, x, alpha):
+        # s (y^-s - y^-alpha) / (alpha - s), y = x/scale, as the smaller power
+        # times -expm1(-gap L) / gap, L = log y (0 at y = inf), which is L at gap 0
         arr, scalar = _as_array(x)
         s, c = self.order, self.scale
         y = np.maximum(arr / c, 1.0)
-        if alpha == s:
-            val = s * np.log(y)
-        else:
-            val = s * (y ** (alpha - s) - 1.0) / (alpha - s)
-        return _ret(c**alpha * val, scalar)
+        log_y, gap = np.log(np.where(y < np.inf, y, 1.0)), abs(alpha - s)
+        power = s * y ** -min(alpha, s)
+        val = power * log_y if gap == 0 else power * -np.expm1(-gap * log_y) / gap
+        return _ret(val, scalar)
 
 
 @dataclass(frozen=True)
@@ -371,16 +381,21 @@ class Beta(Distribution):
         )
         return _ret(np.where(inside, np.exp(logpdf), 0.0), scalar)
 
-    def truncated_alpha_moment(self, x, alpha):
+    def scaled_alpha_moment(self, x, alpha):
+        # x^-alpha B(a+alpha, b)/B(a, b) I_x(a+alpha, b); below 1e-3, where that
+        # over- or underflows, F(x) times the ratio of the series of G and F,
+        # a/(a+alpha) 2F1(a+b+alpha, 1; a+alpha+1; x) / 2F1(a+b, 1; a+1; x),
+        # so that F - G keeps the digits of F
         arr, scalar = _as_array(x)
-        coeff = math.exp(
-            special.gammaln(self.a + alpha)
-            + special.gammaln(self.a + self.b)
-            - special.gammaln(self.a)
-            - special.gammaln(self.a + self.b + alpha)
-        )
-        val = coeff * special.betainc(self.a + alpha, self.b, np.clip(arr, 0.0, 1.0))
-        return _ret(val, scalar)
+        a, b = self.a, self.b
+        small = arr < 1e-3
+        z, big = np.where(small, np.maximum(arr, 0.0), 0.0), np.where(small, 1.0, arr)
+        series = self.cdf(z) * a / (a + alpha) * (
+            special.hyp2f1(a + b + alpha, 1.0, a + alpha + 1.0, z)
+            / special.hyp2f1(a + b, 1.0, a + 1.0, z))
+        incomplete = (big**-alpha * special.poch(a, alpha) / special.poch(a + b, alpha)
+                      * special.betainc(a + alpha, b, np.minimum(big, 1.0)))
+        return _ret(np.where(small, series, incomplete), scalar)
 
 
 @dataclass(frozen=True)
@@ -424,14 +439,22 @@ class Gamma(Distribution):
             )
         return _ret(np.where(pos, np.exp(logpdf), 0.0), scalar)
 
-    def truncated_alpha_moment(self, x, alpha):
+    def scaled_alpha_moment(self, x, alpha):
+        # Gamma(a+alpha)/Gamma(a) z^-alpha P(a+alpha, z) at z = rate x, with
+        # z^-alpha = rate^-alpha x^-alpha where z overflows; below 1e-3, F(x) times
+        # a/(a+alpha) 1F1(1; a+alpha+1; z) / 1F1(1; a+1; z), as for Beta
         arr, scalar = _as_array(x)
-        coeff = math.exp(
-            special.gammaln(self.shape + alpha) - special.gammaln(self.shape)
-        ) / self.rate**alpha
+        a = self.shape
         with np.errstate(over="ignore"):
-            val = coeff * special.gammainc(self.shape + alpha, self.rate * np.maximum(arr, 0.0))
-        return _ret(val, scalar)
+            z = self.rate * np.maximum(arr, 0.0)
+        small = z < 1e-3
+        zs, big = np.where(small, z, 0.0), np.where(small, 1.0, z)
+        series = special.gammainc(a, zs) * a / (a + alpha) * (
+            special.hyp1f1(1.0, a + alpha + 1.0, zs) / special.hyp1f1(1.0, a + 1.0, zs))
+        power = np.where(big < np.inf, big**-alpha,
+                         self.rate**-alpha * np.maximum(arr, 1.0) ** -alpha)
+        incomplete = special.poch(a, alpha) * power * special.gammainc(a + alpha, big)
+        return _ret(np.where(small, series, incomplete), scalar)
 
 
 @dataclass(frozen=True)
@@ -454,9 +477,10 @@ class Uniform01(Distribution):
         arr, scalar = _as_array(x)
         return _ret(((arr > 0) & (arr < 1)).astype(float), scalar)
 
-    def truncated_alpha_moment(self, x, alpha):
+    def scaled_alpha_moment(self, x, alpha):
         arr, scalar = _as_array(x)
-        return _ret(np.clip(arr, 0.0, 1.0) ** (alpha + 1.0) / (alpha + 1.0), scalar)
+        val = np.where(arr <= 1.0, np.maximum(arr, 0.0), np.maximum(arr, 1.0) ** -alpha)
+        return _ret(val / (alpha + 1.0), scalar)
 
 
 def mu1_pdf(x):
@@ -711,9 +735,9 @@ class FiniteMixture(Distribution):
                 merged[loc] = merged.get(loc, 0.0) + w * m
         return tuple(sorted(merged.items()))
 
-    def truncated_alpha_moment(self, x, alpha):
+    def scaled_alpha_moment(self, x, alpha):
         self._require_half_line()
-        return self._weighted_sum(lambda law, arr: law.truncated_alpha_moment(arr, alpha), x)
+        return self._weighted_sum(lambda law, arr: law.scaled_alpha_moment(arr, alpha), x)
 
     def abs_law(self):
         return FiniteMixture(tuple((w, law.abs_law()) for w, law in self.components))
@@ -774,12 +798,9 @@ class Scaled(Distribution):
         out = np.asarray(self.base.ppf(self._base_uniforms(arr))) * self.factor
         return _ret(out, scalar)
 
-    def truncated_alpha_moment(self, x, alpha):
+    def scaled_alpha_moment(self, x, alpha):
         self._require_half_line()
-        arr, scalar = _as_array(x)
-        c = self.factor
-        out = c**alpha * np.asarray(self.base.truncated_alpha_moment(arr / c, alpha))
-        return _ret(out, scalar)
+        return self.base.scaled_alpha_moment(np.asarray(x, dtype=float) / self.factor, alpha)
 
     def abs_law(self):
         return Scaled(self.base.abs_law(), abs(self.factor))

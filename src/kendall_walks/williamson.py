@@ -1,17 +1,18 @@
 """Modified Williamson transform and its inversion.
 
-For a law ``nu`` on [0, inf) and ``alpha > 0`` the transform is
+For a law ``nu`` of S on [0, inf) and ``alpha > 0`` the transform is
 
     Phi_nu(t) = int (1 - (t s)^alpha)_+ nu(ds),   t >= 0,
 
-which evaluates in closed form as ``F(1/t) - t^alpha * M(1/t)`` with
-``M(x) = int_{[0,x]} s^alpha nu(ds)``.  The n-fold power of ``Phi_nu``
-inverts to the n-step CDF of the walk driven by ``nu``:
+which evaluates in closed form as ``F(1/t) - G(1/t)``, where
+``G(x) = E[(S/x)^alpha; S <= x]`` is the law's ``scaled_alpha_moment``:
+it lies in [0, F(x)], so no term here overflows.  The n-fold power of
+``Phi_nu`` inverts to the n-step CDF of the walk driven by ``nu``:
 
-    F_n(x) = Phi(1/x)^n + n Phi(1/x)^(n-1) x^(-alpha) M(x).
+    F_n(x) = Phi(1/x)^n + n Phi(1/x)^(n-1) G(x).
 
 The derivative needed for the main inversion path is analytic
-(``Phi'(t) = -alpha t^(alpha-1) M(1/t)``); central differences with one
+(``Phi'(t) = -alpha G(1/t) / t``); central differences with one
 Richardson step are used only for black-box transforms.
 
 The half-line requirement is the law's own rule,
@@ -27,52 +28,41 @@ import logging
 import numpy as np
 
 from .errors import ParameterError, TransformError
-from .measures import (
-    Distribution,
-    _as_array,
-    _check_int,
-    _check_positive,
-    _finite_or_zero,
-    _ret,
-)
+from .measures import Distribution, _as_array, _check_int, _check_positive, _ret
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["phi", "phi_prime", "nstep_cdf", "nstep_pdf", "invert_transform"]
 
 
+def _reciprocal(arr):
+    """``1 / arr`` for positive entries, inf where it overflows (subnormal arr)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / arr
+
+
 def phi(law: Distribution, alpha: float, t):
-    """Evaluate ``Phi_nu(t)`` for ``t >= 0`` (vectorized in t)."""
+    """Evaluate ``Phi_nu(t) = F(1/t) - G(1/t)`` for ``t >= 0`` (vectorized in t)."""
     _check_positive("alpha", alpha)
     law._require_half_line()
     arr, scalar = _as_array(t)
     if not np.all(arr >= 0):
         raise ParameterError("phi is defined for t >= 0")
     pos = arr > 0
-    safe = np.where(pos, arr, 1.0)
-    # 1/t overflows at subnormal t, and t^alpha at huge t against a moment
-    # that underflowed to 0; the exact term is at most F(1/t), so a
-    # non-finite one is 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv = 1.0 / safe
-        term = _finite_or_zero(
-            safe**alpha * np.asarray(law.truncated_alpha_moment(inv, alpha), dtype=float)
-        )
-    out = np.where(pos, np.asarray(law.cdf(inv), dtype=float) - term, 1.0)
-    return _ret(np.clip(out, 0.0, 1.0), scalar)
+    inv = _reciprocal(np.where(pos, arr, 1.0))
+    out = np.asarray(law.cdf(inv), dtype=float) - law.scaled_alpha_moment(inv, alpha)
+    return _ret(np.clip(np.where(pos, out, 1.0), 0.0, 1.0), scalar)
 
 
 def phi_prime(law: Distribution, alpha: float, t):
-    """Analytic derivative ``Phi'(t) = -alpha t^(alpha-1) M(1/t)``, t > 0."""
+    """Analytic derivative ``Phi'(t) = -alpha G(1/t) / t``, t > 0."""
     _check_positive("alpha", alpha)
     law._require_half_line()
     arr, scalar = _as_array(t)
     if not np.all(arr > 0):
         raise ParameterError("phi_prime is defined for t > 0")
-    out = -alpha * arr ** (alpha - 1.0) * np.asarray(
-        law.truncated_alpha_moment(1.0 / arr, alpha), dtype=float
-    )
-    return _ret(out, scalar)
+    g = np.asarray(law.scaled_alpha_moment(_reciprocal(arr), alpha), dtype=float)
+    return _ret(-alpha * g / arr, scalar)
 
 
 def _clip_unit(values, what):
@@ -83,9 +73,8 @@ def _clip_unit(values, what):
 
 
 def _nstep_parts(law: Distribution, alpha: float, n: int, x):
-    """Checked ``n``, the scalar flag, the mask x > 0, x with the other
-    entries set to 1, ``Phi(1/x)`` and ``M(x)``: the common opening of
-    ``nstep_cdf`` and ``nstep_pdf``."""
+    """Checked ``n``, the scalar flag, the mask x > 0, x with the other entries
+    set to 1, ``G(x)`` and ``Phi(1/x) = F(x) - G(x)``: the opening of both laws."""
     _check_positive("alpha", alpha)
     law._require_half_line()
     n = _check_int("n", n, 1)
@@ -94,27 +83,23 @@ def _nstep_parts(law: Distribution, alpha: float, n: int, x):
         raise ParameterError("the n-step law is not defined at x = NaN")
     pos = arr > 0
     safe = np.where(pos, arr, 1.0)
-    with np.errstate(over="ignore"):
-        inv = 1.0 / safe
-    ph = np.asarray(phi(law, alpha, inv), dtype=float)
-    m = np.asarray(law.truncated_alpha_moment(safe, alpha), dtype=float)
-    return n, scalar, pos, safe, ph, m
+    g = np.asarray(law.scaled_alpha_moment(safe, alpha), dtype=float)
+    ph = np.clip(np.asarray(law.cdf(safe), dtype=float) - g, 0.0, 1.0)
+    return n, scalar, pos, safe, g, ph
 
 
 def nstep_cdf(law: Distribution, alpha: float, n: int, x, left: bool = False):
     """CDF of the n-step walk marginal driven by ``law`` (right continuous).
 
     With ``left=True`` returns the left limit instead, which differs only
-    at atoms of the n-step law.
+    at atoms of the n-step law: an atom of mass w at x adds w to ``G(x)``
+    and nothing to ``Phi(1/x)``.
     """
-    n, scalar, pos, safe, ph, m = _nstep_parts(law, alpha, n, x)
+    n, scalar, pos, safe, g, ph = _nstep_parts(law, alpha, n, x)
     if left:
         for loc, w in law.atoms():
-            m = np.where(safe == loc, m - loc**alpha * w, m)
-    # x^-alpha overflows at tiny x against a moment that underflowed to 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        tail = _finite_or_zero(n * ph ** (n - 1) * safe**-alpha * m)
-    out = ph**n + tail
+            g = np.where(safe == loc, g - w, g)
+    out = ph**n + n * ph ** (n - 1) * g
     return _ret(_clip_unit(np.where(pos, out, 0.0), "nstep_cdf"), scalar)
 
 
@@ -123,18 +108,12 @@ def nstep_pdf(law: Distribution, alpha: float, n: int, x):
 
     Differentiating F_n gives
 
-        f_n(x) = alpha n (n-1) Phi^(n-2)(1/x) x^(-2 alpha - 1) M(x)^2
+        f_n(x) = alpha n (n-1) Phi^(n-2)(1/x) G(x) (G(x) / x)
                  + n Phi^(n-1)(1/x) * pdf_nu(x).
     """
-    n, scalar, pos, safe, ph, m = _nstep_parts(law, alpha, n, x)
-    base = np.asarray(law.pdf(safe), dtype=float)
-    first = 0.0
-    if n >= 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            first = _finite_or_zero(
-                alpha * n * (n - 1) * ph ** (n - 2) * safe ** (-2 * alpha - 1.0) * m**2
-            )
-    out = first + n * ph ** (n - 1) * base
+    n, scalar, pos, safe, g, ph = _nstep_parts(law, alpha, n, x)
+    first = alpha * n * (n - 1) * ph ** (n - 2) * g * (g / safe) if n >= 2 else 0.0
+    out = first + n * ph ** (n - 1) * np.asarray(law.pdf(safe), dtype=float)
     return _ret(np.where(pos, out, 0.0), scalar)
 
 
@@ -170,20 +149,20 @@ def invert_transform(phi_fn, alpha: float, x, dphi=None):
     ``g(x) = phi(1/x)`` is taken by central differences with step
     ``h = max(1e-6 x, 1e-9)`` plus one Richardson extrapolation.  A probe
     grid rejects callables that are not valid transforms (not
-    nonincreasing, phi(0) != 1, or not taking arrays).  x <= 0 gives 0.
+    nonincreasing, phi(0) != 1, or not taking arrays).  x <= 0 gives 0,
+    and where 1/x overflows the result is the limit ``phi(inf)``.
     """
     _check_positive("alpha", alpha)
     _probe_transform(phi_fn)
     xs, scalar = _as_array(x)
-    if np.isnan(xs).any():
-        raise ParameterError("invert_transform is not defined at x = NaN")
+    if not np.isfinite(xs).all():
+        raise ParameterError("invert_transform is defined at finite x only")
     pos = xs > 0
     safe = np.where(pos, xs, 1.0)
-    with np.errstate(over="ignore"):  # 1/x overflows at subnormal x, x^2 at huge x
-        inv, sq = 1.0 / safe, safe**2
+    inv = _reciprocal(safe)
     gx = np.asarray(phi_fn(inv), dtype=float)
-    if dphi is not None:  # d/dx phi(1/x) = -phi'(1/x) / x^2
-        deriv = -np.asarray(dphi(inv), dtype=float) / sq
+    if dphi is not None:  # d/dx phi(1/x) = -phi'(1/x) (1/x) / x, 0 where 1/x is inf
+        deriv = -np.asarray(dphi(inv), dtype=float) * np.where(inv < np.inf, inv, 0.0) / safe
     else:
         # g(z) = phi(1/z), and 1 for z <= 0, at x + h, x - h, x + h/2, x - h/2
         h = np.maximum(1e-6 * safe, 1e-9)

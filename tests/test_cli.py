@@ -160,11 +160,11 @@ _TABLE_DIGESTS = {
     "nstep_mixture": (
         ["nstep", "--step", "mix:0.25*dirac:1+0.75*pareto:2", "--n", "3", "--alpha", "0.5",
          "--grid", "0.5:8:40"],
-        "aeae64aab008e77958aefe75cada367ebc2a97261f2398f8bea8f079f761a032",
+        "aacb4f41452c1718f35e3c9df07bcf5f88446e09a04043334a1f412f943ffd07",
     ),
     "transform": (
         ["transform", "--step", "pareto:2.5", "--alpha", "0.8", "--grid", "0.05:5:30"],
-        "e577dfa03dbf98c238faf21db59013e91c5913c187dcade29049036548a68a6d",
+        "9d4db1346550a4157f2bb50a5e1df077ec579c41f03905cac041ac5804946568",
     ),
 }
 

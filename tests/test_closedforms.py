@@ -152,7 +152,8 @@ def test_increment_cdf_frozen_and_limits():
     for k in range(2, 21):
         assert abs(increment_cdf(k, 1e-13) - atom_prob(k)) < 1e-10
         assert increment_cdf(k, 0.0) == atom_prob(k)
-        assert increment_cdf(k, -1.0) == atom_prob(k)
+        # the increment is never negative, as increment_joint_prob says
+        assert increment_cdf(k, -1.0) == 0.0 == increment_joint_prob(k, -1.0, 1e300)
     assert 1.0 - increment_cdf(3, 1e5) < 1e-4
     w = np.array([0.1, 0.5, 1.0, 3.0, 20.0])
     vals = [increment_cdf(4, wi) for wi in w]
@@ -211,6 +212,7 @@ def test_increment_joint_prob_consistency():
         assert increment_joint_prob(k, -np.inf, 2.0) == 0.0
         assert increment_joint_prob(k, 1.0, -np.inf) == 0.0
         assert increment_cdf(k, np.inf) == 1.0
+        assert increment_cdf(k, -np.inf) == 0.0 == increment_joint_prob(k, -np.inf, np.inf)
     # joint probability is monotone in both arguments
     vals_z = [increment_joint_prob(2, 1.0, z) for z in (1.5, 2.0, 4.0)]
     assert np.all(np.diff(vals_z) > 0)

@@ -1,6 +1,8 @@
 """Distribution primitives: streams, samplers, transforms, mixtures."""
 
+import copy
 import hashlib
+import pickle
 import warnings
 
 import numpy as np
@@ -67,6 +69,17 @@ def test_rng_stream_reproducible_and_separated():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("copier", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_rng_stream_survives_pickle_and_deepcopy(copier):
+    stream = RngStream(3, 4)
+    stream.random(5)
+    twin = copier(stream)
+    assert type(twin) is RngStream
+    assert np.array_equal(twin.random(8), stream.random(8))
+    assert np.array_equal(twin.random(8), RngStream(3, 4).random(21)[13:])
 
 
 _CONTRACT_LAWS = (
@@ -173,27 +186,35 @@ def test_pareto_ppf_inverts_cdf(order, u):
     assert abs(law.cdf(law.ppf(u)) - u) < 1e-9
 
 
-def test_truncated_alpha_moment_matches_quadrature():
+def test_scaled_alpha_moment_matches_quadrature():
+    # G(x) = E[(S/x)^alpha; S <= x], on both sides of the series cut at 1e-3
     cases = [
         (Pareto(3.0), 1.0, [1.5, 2.0, 10.0]),
         (Uniform01(), 0.7, [0.3, 0.8, 1.0]),
-        (Beta(2.0, 3.0), 0.5, [0.4, 0.9]),
-        (Gamma(2.0, 1.5), 1.3, [0.5, 2.0, 8.0]),
+        (Beta(2.0, 3.0), 0.5, [1e-4, 0.4, 0.9]),
+        (Gamma(2.0, 1.5), 1.3, [1e-4, 0.5, 2.0, 8.0]),
+        (Gamma(0.5, 1.0), 2.0, [5e-4, 0.1]),
     ]
     for law, alpha, xs in cases:
         lo, _ = law.support
         for x in xs:
             ref, _ = integrate.quad(
-                lambda s: s**alpha * law.pdf(s), lo, x, epsabs=1e-12
+                lambda s: (s / x) ** alpha * law.pdf(s), lo, x, epsabs=0.0, epsrel=1e-12
             )
-            assert abs(law.truncated_alpha_moment(x, alpha) - ref) < 1e-8
+            assert law.scaled_alpha_moment(x, alpha) == pytest.approx(ref, rel=1e-9, abs=0)
 
 
-def test_truncated_alpha_moment_pareto_closed_form():
-    # int_1^x s * 3 s^-4 ds = 1.5 (1 - x^-2)
+def test_scaled_alpha_moment_pareto_closed_form():
+    # x^-1 int_1^x s * 3 s^-4 ds = 1.5 (1/x - x^-3), 0 at x = 1 and x = inf
     law = Pareto(3.0)
-    for x in (1.0, 2.0, 5.0, 100.0):
-        assert abs(law.truncated_alpha_moment(x, 1.0) - 1.5 * (1 - x**-2)) < 1e-12
+    for x in (1.0, 2.0, 5.0, 100.0, 1e100, 1e300):
+        want = 1.5 * (1 / x - x**-3)
+        assert law.scaled_alpha_moment(x, 1.0) == pytest.approx(want, rel=1e-14, abs=0)
+    assert law.scaled_alpha_moment(np.inf, 1.0) == 0.0
+    # alpha = order: G(x) = 3 log(x) x^-3
+    for x in (1.0, 2.0, 1e100):
+        want = 3 * np.log(x) * x**-3
+        assert law.scaled_alpha_moment(x, 3.0) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_finite_mixture_cdf_and_atoms():
@@ -250,10 +271,10 @@ _HALF_LINE_ENTRY_POINTS = {
     "phi_prime": lambda: phi_prime(_SYM, 1.0, 0.5),
     "nstep_cdf": lambda: nstep_cdf(_SYM, 1.0, 2, 0.5),
     "nstep_pdf": lambda: nstep_pdf(_SYM, 1.0, 2, 0.5),
-    "moment_sympareto": lambda: _SYM.truncated_alpha_moment(1.0, 1.0),
-    "moment_mu": lambda: MuAlpha(0.5).truncated_alpha_moment(1.0, 1.0),
-    "moment_negative_dirac": lambda: Dirac(-1.0).truncated_alpha_moment(1.0, 1.0),
-    "moment_reflected_pareto": lambda: Scaled(Pareto(2.0), -1.0).truncated_alpha_moment(1.0, 1.0),
+    "moment_sympareto": lambda: _SYM.scaled_alpha_moment(1.0, 1.0),
+    "moment_mu": lambda: MuAlpha(0.5).scaled_alpha_moment(1.0, 1.0),
+    "moment_negative_dirac": lambda: Dirac(-1.0).scaled_alpha_moment(1.0, 1.0),
+    "moment_reflected_pareto": lambda: Scaled(Pareto(2.0), -1.0).scaled_alpha_moment(1.0, 1.0),
     "abs_law_mu": lambda: MuAlpha(0.5).abs_law(),
     "convolve_sample": lambda: convolve_sample(Kendall(1.0), _SYM, Dirac(1.0), RngStream(0), 4),
     "walk_config": lambda: WalkConfig("kendall", 1.0, _SYM, 3, 3, 0),
@@ -327,8 +348,8 @@ def _scalar_cases():
         if type(law).ppf is not Distribution.ppf:
             yield f"{law!r}.ppf", law.ppf, _SCALAR_U
         if law.support[0] >= 0:
-            yield (f"{law!r}.truncated_alpha_moment",
-                   lambda x, law=law: law.truncated_alpha_moment(x, 0.7), np.abs(xs))
+            yield (f"{law!r}.scaled_alpha_moment",
+                   lambda x, law=law: law.scaled_alpha_moment(x, 0.7), np.abs(xs))
     ax = np.abs(_SCALAR_X)
     yield from (
         ("mu1_cdf", mu1_cdf, _SCALAR_X),
@@ -370,14 +391,12 @@ _EXTREME_LAWS = (Pareto(2.0), Pareto(0.7, 3.0), SymPareto(0.5), Gamma(1.5, 2.0),
 _EXTREME_POINTS = (0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-200, -1e-200,
                    1e200, -1e200, 1e308, -1e308)
 # SHA-256 of the float64 values of cdf, pdf and (half-line laws, x >= 0)
-# truncated_alpha_moment at alpha 2, law by law and point by point, recorded
-# before the extreme-argument warnings were removed: the fix keeps the bits
-_EXTREME_DIGEST = "5f63e50eb372b0eecc7ab73482e5c9cfb3fb48e7bb3786290c5f0e6e888bf3cb"
+# scaled_alpha_moment at alpha 2, law by law and point by point
+_EXTREME_DIGEST = "928cf6394f620bd54e2a6639c419e354c8202cb43665c04be9b2efdb2ef1f0d3"
 
 
 def test_law_methods_at_extreme_arguments():
-    # the Pareto moments of order alpha >= the Pareto order are infinite;
-    # Pareto(0.7, 3) overflows at 1e308 for real, so its warning is kept
+    # G(x) = E[(S/x)^alpha; S <= x] lies in [0, F(x)] and is 0 at x = inf
     vals = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -386,22 +405,15 @@ def test_law_methods_at_extreme_arguments():
             for x in _EXTREME_POINTS:
                 vals += [law.cdf(x), law.pdf(x)]
                 if half and x >= 0.0:
-                    if law == Pareto(0.7, 3.0) and x == 1e308:
-                        with np.errstate(over="ignore"):
-                            vals.append(law.truncated_alpha_moment(x, 2.0))
-                    else:
-                        vals.append(law.truncated_alpha_moment(x, 2.0))
+                    vals.append(law.scaled_alpha_moment(x, 2.0))
+                    assert 0.0 <= vals[-1] <= vals[-3]
             assert law.cdf(np.inf) == 1.0
             assert law.cdf(-np.inf) == 0.0
             assert law.pdf(np.inf) == 0.0 and law.pdf(-np.inf) == 0.0
             if half:
-                full = law.truncated_alpha_moment(np.inf, 2.0)
-                if isinstance(law, Pareto):
-                    assert full == np.inf
-                else:
-                    assert full == law.truncated_alpha_moment(1e308, 2.0)
+                assert law.scaled_alpha_moment(np.inf, 2.0) == 0.0
     vals = np.array(vals, dtype=float)
-    assert np.count_nonzero(~np.isfinite(vals)) == 1  # the Pareto(0.7, 3) moment at 1e308
+    assert np.isfinite(vals).all()
     assert hashlib.sha256(vals.tobytes()).hexdigest() == _EXTREME_DIGEST
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -65,11 +65,16 @@ def test_phi_boundary_and_monotone():
 
 
 def test_phi_prime_is_moment_route():
-    # at alpha = 1 the derivative is minus the truncated first moment
-    for law in (Pareto(3.0), Uniform01()):
+    # Phi'(t) = -alpha G(1/t) / t, and at alpha = 1 that is minus the
+    # truncated first moment: 1.5 (1 - x^-2) for Pareto(3) (x >= 1), min(x, 1)^2 / 2
+    # for Uniform01, at x = 1/t
+    moments = ((Pareto(3.0), lambda x: 1.5 * (1 - max(x, 1.0) ** -2)),
+               (Uniform01(), lambda x: min(x, 1.0) ** 2 / 2))
+    for law, moment in moments:
         for t in (0.2, 0.6, 1.3):
-            want = -law.truncated_alpha_moment(1.0 / t, 1.0)
-            assert abs(phi_prime(law, 1.0, t) - want) < 1e-12
+            want = -law.scaled_alpha_moment(1.0 / t, 1.0) / t
+            assert phi_prime(law, 1.0, t) == want
+            assert abs(want + moment(1.0 / t)) < 1e-12
 
 
 def test_phi_prime_matches_numeric_derivative():
@@ -130,23 +135,47 @@ def test_nstep_pdf_integrates_cdf_increments():
         assert abs(inc - want) < 1e-8
 
 
-def test_overflowing_power_against_underflowed_moment_is_finite():
-    # x^-alpha (or t^alpha) overflows to inf where the truncated moment
-    # underflows to 0; the product is at most F(x), so it counts as 0.
-    # A RuntimeWarning fails the test.
-    cdfs = (
-        (nstep_beta_cdf(2, 2.0, 2.0, 3.0, 1e-200), Beta(2.0, 3.0), 1e-200),
-        (nstep_gamma_cdf(2, 2.0, 1.5, 2.0, 1e-200), Gamma(1.5, 2.0), 1e-200),
-        (nstep_cdf(Gamma(1.5, 2.0), 2.0, 2, 1e-155), Gamma(1.5, 2.0), 1e-155),
-    )
-    for law in (Beta(2.0, 3.0), Gamma(1.5, 2.0), Uniform01()):
-        for n in (1, 2, 3):
-            cdfs += ((nstep_cdf(law, 2.0, n, 1e-200), law, 1e-200),)
-    for value, law, x in cdfs:
-        # X_n >= d X_1, so F_n(x) <= F(x)
-        assert 0.0 <= value <= law.cdf(x)
-    assert np.isfinite(nstep_pdf(Gamma(1.5, 2.0), 2.0, 2, 1e-100))
-    assert np.isfinite(phi(Beta(2.0, 3.0), 2.0, 1e160))
+def _close(want):
+    return pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_transform_at_extreme_arguments_matches_elementary_forms():
+    # G(x) = E[(S/x)^alpha; S <= x] lies in [0, F(x)], so Phi, Phi' and the
+    # n-step laws keep their digits where x^-alpha or t^alpha overflows and
+    # the truncated moment underflows; a RuntimeWarning fails the test
+    for alpha in (0.5, 2.0, 3.0):
+        # Uniform01: Phi(t) = alpha / ((alpha + 1) t) for t >= 1
+        for t in (1.0, 1e3, 1e100, 1e200, 1e300):
+            assert phi(Uniform01(), alpha, t) == _close(alpha / ((alpha + 1) * t))
+        # Beta(a, 1): Phi(1/x) = alpha x^a / (a + alpha) for x <= 1
+        for a in (0.5, 2.0):
+            for x in (1e-300, 1e-200, 1e-100, 1e-10, 0.5):
+                assert phi(Beta(a, 1.0), alpha, 1.0 / x) == _close(alpha * x**a / (a + alpha))
+                assert nstep_cdf(Beta(a, 1.0), alpha, 1, x) == _close(x**a)
+        # Gamma at x <= 1e-100: Phi(1/x) = F(x) alpha / (a + alpha) and
+        # G(x) = F(x) a / (a + alpha) to relative order x
+        for law in (Gamma(0.5, 1.0), Gamma(1.5, 2.0)):
+            a = law.shape
+            for x in (1e-300, 1e-200, 1e-100):
+                f = law.cdf(x)
+                assert phi(law, alpha, 1.0 / x) == _close(f * alpha / (a + alpha))
+                want = f**2 * alpha * (alpha + 2 * a) / (a + alpha) ** 2
+                if want > 1e-290:
+                    assert nstep_cdf(law, alpha, 2, x) == _close(want)
+    assert nstep_cdf(Gamma(0.5, 1.0), 2.0, 2, 1e-200) == _close(1.222309962945709e-200)
+    # Pareto(s, c): G(x) = s (y^-s - y^-alpha) / (alpha - s), y = x / c,
+    # and s log(y) y^-s at alpha = s
+    for s_, c in ((0.7, 3.0), (2.0, 1.0)):
+        law = Pareto(s_, c)
+        for alpha in (0.3, 2.0):
+            for t in (1e-300, 1e-100, 1e-3, 0.05):
+                y = 1.0 / (t * c)
+                g = (s_ * math.log(y) * y**-s_ if alpha == s_
+                     else s_ * (y**-s_ - y**-alpha) / (alpha - s_))
+                assert phi(law, alpha, t) == _close(1.0 - y**-s_ - g)
+                assert phi_prime(law, alpha, t) == _close(-alpha * g / t)
+    want = -2.0 * 0.7 / 1.3 * (1e300 / 3.0) ** -0.7 * 1e300
+    assert phi_prime(Pareto(0.7, 3.0), 2.0, 1e-300) == _close(want)
     # 1/t overflows at subnormal t; the transform tends to 1 as t -> 0
     assert phi(Pareto(0.7, 3.0), 1.0, 5e-324) == 1.0
     assert phi(Pareto(0.7, 3.0), 1.0, 1e-310) == 1.0
@@ -188,6 +217,33 @@ def test_invert_transform_edge_values():
     assert out[0] == 0.0 and out[1] == 0.0
     assert 0.0 <= out[2] <= 1.0
     assert abs(out[3] - nstep_delta1_cdf(1, 1.0, 2.0)) < 1e-6
+
+
+def test_invert_transform_at_extreme_arguments():
+    # x^2 underflowed below about 1e-154 with an analytic derivative, and
+    # 1/x overflows at subnormal x, where the result is the limit
+    # phi(inf) = nu({0}); a RuntimeWarning fails the test
+    law = FiniteMixture(((0.3, Dirac(0.0)), (0.7, Pareto(0.7, 3.0))))
+    xs = np.array([5e-324, 1e-310, 1e-300, 1e-160, 1.0, 10.0, 1e300])
+    for alpha in (0.5, 2.0):
+        phi_fn = lambda t: phi(law, alpha, t)
+        dphi = lambda t: phi_prime(law, alpha, t)
+        got = invert_transform(phi_fn, alpha, xs, dphi=dphi)
+        assert np.max(np.abs(got - law.cdf(xs))) < 1e-14
+        assert np.all(got[:5] == 0.3)
+        got = invert_transform(phi_fn, alpha, xs)
+        assert np.max(np.abs(got - law.cdf(xs))) < 1e-6
+        assert got[0] == 0.3
+        tiny = np.linspace(1e-300, 1e-290, 50)
+        pareto = Pareto(0.7)
+        got = invert_transform(lambda t: phi(pareto, alpha, t), alpha, tiny,
+                               dphi=lambda t: phi_prime(pareto, alpha, t))
+        assert np.all(got == 0.0)
+        for bad in (np.inf, -np.inf, np.array([1.0, np.inf])):
+            with pytest.raises(ParameterError):
+                invert_transform(phi_fn, alpha, bad, dphi=dphi)
+            with pytest.raises(ParameterError):
+                invert_transform(phi_fn, alpha, bad)
 
 
 def test_probe_rejects_invalid_transforms():
