@@ -22,7 +22,6 @@ from .measures import (
     _check_int,
     _check_positive,
     _check_real,
-    _finite_or_zero,
     _ret,
 )
 
@@ -87,14 +86,17 @@ def nstep_uniform_cdf(n: int, alpha: float, x):
     return _ret(out, scalar)
 
 
-def _nstep_from_parts(cdf_vals, moment_vals, alpha, n, x):
-    # at tiny x, y overflows against a moment that underflowed to 0; the
-    # exact products are at most F(x), so a non-finite one is 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.maximum(x, 1e-300) ** -alpha
-        ym = _finite_or_zero(y * moment_vals)
-        g = cdf_vals - ym
-        tail = _finite_or_zero(n * g ** (n - 1) * y * moment_vals)
+def _nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, x):
+    # G = x^-alpha M(x) <= F(x), and no product overflows while M exceeds n
+    # times the least normal double.  Below that M has lost its bits; G is
+    # then its x -> 0 limit F a / (a + alpha), whose relative error is O(x)
+    # for Beta(a, b) steps and O(bx) for Gamma(a, b) steps.
+    formed = moment_vals > n * np.finfo(float).tiny
+    y = np.power(x, -alpha, out=np.ones_like(x), where=formed)
+    ym = np.where(formed, y * moment_vals, cdf_vals * (a / (a + alpha)))
+    g = cdf_vals - ym
+    ng = n * g ** (n - 1)
+    tail = np.where(formed, ng * y * moment_vals, ng * ym)
     return np.where(x > 0, g**n + tail, 0.0)
 
 
@@ -114,7 +116,7 @@ def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
     )
     cdf_vals = special.betainc(a, b, clipped)
     moment_vals = coeff * special.betainc(a + alpha, b, clipped)
-    return _ret(_nstep_from_parts(cdf_vals, moment_vals, alpha, n, arr), scalar)
+    return _ret(_nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, arr), scalar)
 
 
 def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
@@ -130,7 +132,7 @@ def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
         bx = b * pos
     cdf_vals = special.gammainc(a, bx)
     moment_vals = coeff * special.gammainc(a + alpha, bx)
-    return _ret(_nstep_from_parts(cdf_vals, moment_vals, alpha, n, arr), scalar)
+    return _ret(_nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, arr), scalar)
 
 
 def sym_nstep_pdf(n: int, alpha: float, x):

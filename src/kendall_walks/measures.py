@@ -112,10 +112,6 @@ def _ret(arr, scalar):
     return float(np.reshape(arr, -1)[0]) if scalar else arr
 
 
-def _finite_or_zero(arr):
-    return np.where(np.isfinite(arr), arr, 0.0)
-
-
 class Distribution:
     """Base interface; concrete laws are the dataclasses below."""
 

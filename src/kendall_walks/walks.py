@@ -24,7 +24,7 @@ fixed order (step, switch, tail, sign), with the tail uniform drawn on
 every transition so the per-path draw count is constant.  This makes the
 output independent of chunking and worker count, bit for bit.  Two
 generators produce these streams with the same bits as ``RngStream``:
-for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (160) uniforms per path, a numpy
+for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (240) uniforms per path, a numpy
 Philox4x64-10 computed over arrays of paths (``_philox_rows``); for
 longer paths, one numpy ``Philox`` re-keyed per path in a loop.  A walk
 of more than one 16384-path chunk runs its chunks on up to
@@ -35,6 +35,13 @@ path indices, not workers, so the same reproducibility guarantee holds.
 The rejection sampler is kept because it is about 6 times faster than
 ``mu1_ppf`` (0.19 s against 1.1 s per 1e6 draws on a 2-vCPU x86-64
 machine).
+
+Memory is step-major: a chunk's uniform block holds each draw of all its
+paths in one contiguous column, and ``simulate``'s arrays are
+column-major, so each step reads its uniforms and writes its outputs as
+contiguous runs.  Values, shapes, dtypes and ``tobytes()`` are as in C
+order; ``ens[m]`` is a strided view, and code hashing raw buffers uses
+``np.ascontiguousarray``.
 """
 
 from __future__ import annotations
@@ -68,18 +75,20 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _CHUNK = 16384
+_TILE = 64  # paths the re-keying loop draws per copy into the block
 # Philox4x64-10 round multipliers and Weyl key increments (Random123).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # Draws per path up to which _philox_rows beats re-keying one Philox per
-# path.  The array generator costs about 40 ns per uniform; the loop costs
-# about 5 us per path plus 11 ns per uniform, so the two meet near
-# 5 us / 29 ns.  Measured on 32768 paths (2-vCPU x86-64, numpy 2.4): equal
-# at 160 draws with one worker; with two workers the loop also contends for
-# the interpreter lock and equality moves to about 290 draws.  No workload
-# sits between 160 and 290 draws.
-_ARRAY_PHILOX_MAX_DRAWS = 160
+# path, both writing the draws-major block.  The array generator costs about
+# 41 ns per uniform; the loop about 5.2 us per path plus 18 ns per uniform
+# (its tile copy included), so the two meet near 5.2 us / 23 ns.  Measured
+# on 16384-path chunks (2-vCPU x86-64, numpy 2.4, medians of 11): equal
+# near 240 draws with one worker; with two the loop also contends for the
+# interpreter lock and equality moves to about 290 draws.  No workload sits
+# between 160 and 290 draws.
+_ARRAY_PHILOX_MAX_DRAWS = 240
 _MAX_BYTES = 8_000_000_000
 
 __all__ = [
@@ -127,7 +136,7 @@ class WalkConfig:
 
 @dataclass(frozen=True, eq=False)
 class WalkPath:
-    """One trajectory.
+    """One trajectory: strided views into an ensemble's column-major arrays.
 
     ``states[n]`` is X_n for n = 0..N.  ``thetas[i]``/``switches[i]``
     describe transition i+1 -> i+2: the stored theta is the realized
@@ -144,7 +153,9 @@ class WalkPath:
 
 @dataclass(frozen=True, eq=False)
 class WalkEnsemble:
-    """Struct-of-arrays collection of paths; index to get a WalkPath."""
+    """Struct-of-arrays collection of paths; index to get a WalkPath.
+
+    One row per path, column-major: ``states[:, n]`` is contiguous."""
 
     config: WalkConfig
     states: np.ndarray
@@ -260,12 +271,13 @@ def _philox_rows(seed: int, lo: int, out: np.ndarray):
 def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     """Rows m - lo hold the first ``draws`` uniforms of stream (seed, m).
 
-    Two generators give the same bits as ``RngStream(seed, m)``: up to
-    ``_ARRAY_PHILOX_MAX_DRAWS`` draws per path, ``_philox_rows`` computes
-    Philox over arrays of paths; above it, one numpy ``Philox`` instance is
-    re-keyed per path, whose per-path cost is amortized over many draws.
+    Each column (one draw of every path) is contiguous.  Two generators give
+    the same bits as ``RngStream(seed, m)``: up to ``_ARRAY_PHILOX_MAX_DRAWS``
+    draws per path, ``_philox_rows`` computes Philox over arrays of paths;
+    above it, one numpy ``Philox`` instance is re-keyed per path, whose
+    per-path cost is amortized over many draws, filling ``_TILE`` rows at a time.
     """
-    out = np.empty((hi - lo, draws), dtype=float)
+    out = np.empty((draws, hi - lo), dtype=float).T
     if draws <= _ARRAY_PHILOX_MAX_DRAWS:
         _philox_rows(seed, lo, out)
         return out
@@ -274,13 +286,17 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     state = bg.state
     key_words = state["state"]["key"]
     counter = state["state"]["counter"]
-    for i in range(hi - lo):
-        if i:
-            key_words[0] = (lo + i) & _U64
-            counter[:] = 0
-            state["buffer_pos"] = 4
-            bg.state = state
-        out[i] = gen.random(draws)
+    tile = np.empty((_TILE, draws), dtype=float)
+    for t in range(0, hi - lo, _TILE):
+        rows = tile[: hi - lo - t]
+        for i, row in enumerate(rows, t):
+            if i:
+                key_words[0] = (lo + i) & _U64
+                counter[:] = 0
+                state["buffer_pos"] = 4
+                bg.state = state
+            gen.random(out=row)
+        out[t : t + len(rows)] = rows
     return out
 
 
@@ -341,10 +357,10 @@ def simulate(config: WalkConfig) -> WalkEnsemble:
     kind = parse_convolution(config.convolution, config.alpha)
     kdraws = config.unit_step._draws
     _check_memory(m, n, kdraws + (n - 1) * (kdraws + kind._draws))
-    states = np.empty((m, n + 1), dtype=float)
-    steps = np.empty((m, n), dtype=float)
-    thetas = np.empty((m, max(n - 1, 0)), dtype=float)
-    switches = np.zeros((m, max(n - 1, 0)), dtype=bool)
+    states = np.empty((m, n + 1), dtype=float, order="F")
+    steps = np.empty((m, n), dtype=float, order="F")
+    thetas = np.empty((m, max(n - 1, 0)), dtype=float, order="F")
+    switches = np.zeros((m, max(n - 1, 0)), dtype=bool, order="F")
     out = (states, steps, thetas, switches)
     _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(config, kind, kdraws, lo, hi, out))
     return WalkEnsemble(config=config, states=states, steps=steps,

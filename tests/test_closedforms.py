@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
-from scipy import integrate
+from scipy import integrate, special
 
 from kendall_walks import (
     Beta,
@@ -102,6 +102,20 @@ def test_beta_gamma_cdfs_match_transform_route():
     got = nstep_gamma_cdf(4, 1.0, 2.0, 1.5, xs)
     want = nstep_cdf(Gamma(2.0, 1.5), 1.0, 4, xs)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.0])
+def test_beta_gamma_cdfs_take_the_small_x_limit(alpha):
+    # F ~ c x^a as x -> 0 and G = x^-alpha M(x) -> F a / (a + alpha), so the
+    # two-step law is F^2 alpha (alpha + 2a) / (a + alpha)^2 to rounding,
+    # also where x^-alpha overflows against an underflowed M(x)
+    a = 0.25
+    xs = np.array([1e-200, 1e-300, 5e-324])
+    for got, f in ((nstep_beta_cdf(2, alpha, a, 1.0, xs), special.betainc(a, 1.0, xs)),
+                   (nstep_gamma_cdf(2, alpha, a, 2.0, xs), special.gammainc(a, 2.0 * xs))):
+        want = f**2 * alpha * (alpha + 2 * a) / (a + alpha) ** 2
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert nstep_beta_cdf(2, 2.0, 0.5, 1.0, 1e-200) == pytest.approx(9.6e-201, rel=1e-13)
 
 
 def test_sym_nstep_pdf_is_even_half_density():

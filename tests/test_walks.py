@@ -97,16 +97,32 @@ def test_path_uniform_block_matches_streams():
                     key = philox_key(seed, lo + i)
                     want = np.random.Generator(np.random.Philox(key=key)).random(draws)
                     assert np.array_equal(block[i], want), (seed, draws, lo, i)
-    # uneven [lo, hi) pieces of [0, n) give the rows of one block
-    cuts = (0, 1, 8, 9, 30, 41)
-    for draws in (7, cross + 1):
+    # uneven [lo, hi) pieces of [0, n) give the rows of one block, also
+    # across the re-keying loop's 64-path tiles
+    for draws, cuts in ((7, (0, 1, 8, 9, 30, 41)), (cross + 1, (0, 1, 8, 9, 30, 41)),
+                        (cross + 1, (0, 1, 63, 64, 65, 130))):
         whole = _path_uniform_block(29, 0, cuts[-1], draws)
         pieces = [_path_uniform_block(29, a, b, draws) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate(pieces), whole)
+        for m in (0, 63, 64, cuts[-1] - 1):
+            if m < cuts[-1]:
+                assert np.array_equal(whole[m], RngStream(29, m).random(draws))
     # a Dirac walk of one step draws no uniforms at all
     ens = simulate(WalkConfig("kendall", 1.0, Dirac(2.0), 1, 5, 3))
     assert np.array_equal(ens.states, np.tile([0.0, 2.0], (5, 1)))
     assert ens.thetas.shape == (5, 0)
+
+
+def test_walk_memory_is_step_major():
+    # each step reads every draw of its uniforms as one contiguous column and
+    # writes contiguous columns of the ensemble, on both generators
+    for draws in (7, _ARRAY_PHILOX_MAX_DRAWS + 1):
+        block = _path_uniform_block(5, 0, 100, draws)
+        assert all(block[:, j].flags.c_contiguous for j in range(draws))
+    ens = simulate(WalkConfig("weak_kendall", 0.7, Pareto(2.0), 5, 40, 3))
+    for arr in (ens.states, ens.steps, ens.thetas, ens.switches):
+        assert arr.flags.f_contiguous
+    assert ens.states[:, 3].flags.c_contiguous
 
 
 def test_vectorized_engine_matches_scalar_replay():
