@@ -17,13 +17,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import ParameterError
-from .measures import (
-    _as_array,
-    _check_int,
-    _check_positive,
-    _check_real,
-    _ret,
-)
+from .measures import _check_int, _check_positive, _check_real, _pointwise
 
 __all__ = [
     "nstep_delta1_cdf",
@@ -45,28 +39,29 @@ __all__ = [
 ]
 
 
+@_pointwise("x")
 def nstep_delta1_cdf(n: int, alpha: float, x):
     """CDF of the n-step unit-atom walk: (1 + (n-1) y)(1 - y)_+^(n-1), y = x^(-alpha)."""
     n = _check_int("n", n, 1)
     _check_positive("alpha", alpha)
-    arr, scalar = _as_array(x)
-    safe = np.maximum(arr, 1.0)
+    safe = np.maximum(x, 1.0)
     y = safe**-alpha
     val = (1.0 + (n - 1) * y) * (1.0 - y) ** (n - 1)
-    return _ret(np.where(arr >= 1.0, val, 0.0), scalar)
+    return np.where(x >= 1.0, val, 0.0)
 
 
+@_pointwise("x")
 def nstep_delta1_pdf(n: int, alpha: float, x):
     """Density of the n-step unit-atom walk (n >= 2, support [1, inf))."""
     n = _check_int("n", n, 2)
     _check_positive("alpha", alpha)
-    arr, scalar = _as_array(x)
-    safe = np.maximum(arr, 1.0)
+    safe = np.maximum(x, 1.0)
     y = safe**-alpha
     val = alpha * n * (n - 1) * safe ** (-2.0 * alpha - 1.0) * (1.0 - y) ** (n - 2)
-    return _ret(np.where(arr >= 1.0, val, 0.0), scalar)
+    return np.where(x >= 1.0, val, 0.0)
 
 
+@_pointwise("x")
 def nstep_uniform_cdf(n: int, alpha: float, x):
     """CDF of the n-step walk with uniform(0,1) steps (n >= 2).
 
@@ -76,14 +71,12 @@ def nstep_uniform_cdf(n: int, alpha: float, x):
     """
     n = _check_int("n", n, 2)
     _check_positive("alpha", alpha)
-    arr, scalar = _as_array(x)
-    lo = np.clip(arr, 0.0, 1.0)
+    lo = np.clip(x, 0.0, 1.0)
     left = (alpha / (alpha + 1.0)) ** n * (1.0 + n / alpha) * lo**n
-    safe = np.maximum(arr, 1.0)
+    safe = np.maximum(x, 1.0)
     c = 1.0 / ((alpha + 1.0) * safe**alpha)
     right = (1.0 - c) ** (n - 1) * (1.0 + (n - 1) * c)
-    out = np.where(arr < 1.0, np.where(arr > 0, left, 0.0), right)
-    return _ret(out, scalar)
+    return np.where(x < 1.0, np.where(x > 0, left, 0.0), right)
 
 
 def _nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, x):
@@ -100,14 +93,14 @@ def _nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, x):
     return np.where(x > 0, g**n + tail, 0.0)
 
 
+@_pointwise("x")
 def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
     """CDF of the n-step walk with Beta(a, b) steps, via incomplete Beta functions."""
     n = _check_int("n", n, 1)
     _check_positive("alpha", alpha)
     _check_positive("a", a)
     _check_positive("b", b)
-    arr, scalar = _as_array(x)
-    clipped = np.clip(arr, 0.0, 1.0)
+    clipped = np.clip(x, 0.0, 1.0)
     coeff = math.exp(
         special.gammaln(a + alpha)
         + special.gammaln(a + b)
@@ -116,29 +109,29 @@ def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
     )
     cdf_vals = special.betainc(a, b, clipped)
     moment_vals = coeff * special.betainc(a + alpha, b, clipped)
-    return _ret(_nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, arr), scalar)
+    return _nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, x)
 
 
+@_pointwise("x")
 def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
     """CDF of the n-step walk with Gamma(shape a, rate b) steps."""
     n = _check_int("n", n, 1)
     _check_positive("alpha", alpha)
     _check_positive("a", a)
     _check_positive("b", b)
-    arr, scalar = _as_array(x)
-    pos = np.maximum(arr, 0.0)
+    pos = np.maximum(x, 0.0)
     coeff = math.exp(special.gammaln(a + alpha) - special.gammaln(a)) / b**alpha
     with np.errstate(over="ignore"):  # gammainc(., inf) is 1
         bx = b * pos
     cdf_vals = special.gammainc(a, bx)
     moment_vals = coeff * special.gammainc(a + alpha, bx)
-    return _ret(_nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, arr), scalar)
+    return _nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, x)
 
 
+@_pointwise("x")
 def sym_nstep_pdf(n: int, alpha: float, x):
     """Density of the n-step weak walk with symmetrized unit-atom steps."""
-    arr, scalar = _as_array(x)
-    return _ret(0.5 * np.asarray(nstep_delta1_pdf(n, alpha, np.abs(arr))), scalar)
+    return 0.5 * nstep_delta1_pdf(n, alpha, np.abs(x))
 
 
 def _beta3_expect(k: int, w: float, lo: float) -> float:
@@ -170,6 +163,7 @@ def increment_cdf(k: int, w: float) -> float:
     return 1.0 - 2.0 / (k + 1.0) * _beta3_expect(k, w, 0.0)
 
 
+@_pointwise("u", "v")
 def joint_density(k: int, u, v):
     """Joint density of (X_k, X_{k+1}) on the strict-increase event, alpha = 1.
 
@@ -177,19 +171,16 @@ def joint_density(k: int, u, v):
     to total mass 1; the walk puts weight 2/(k+1) on this component.
     """
     k = _check_int("k", k, 2)
-    u_arr, u_scalar = _as_array(u)
-    v_arr, v_scalar = _as_array(v)
-    u_safe = np.maximum(u_arr, 1.0)
+    u_safe = np.maximum(u, 1.0)
     val = (
         (k + 1.0)
         * k
         * (k - 1.0)
         * u_safe**-2.0
-        * np.maximum(v_arr, 1.0) ** -3.0
+        * np.maximum(v, 1.0) ** -3.0
         * (1.0 - 1.0 / u_safe) ** (k - 2)
     )
-    out = np.where((u_arr >= 1.0) & (v_arr >= u_arr), val, 0.0)
-    return _ret(out, u_scalar and v_scalar)
+    return np.where((u >= 1.0) & (v >= u), val, 0.0)
 
 
 def atom_prob(k: int) -> float:
@@ -219,6 +210,7 @@ def increment_joint_prob(k: int, w: float, z: float) -> float:
     return float(stay + 2.0 / (k + 1.0) * (tail - _beta3_expect(k, w, lo)))
 
 
+@_pointwise("x")
 def mixture_power_pdf(n: int, alpha: float, x):
     """Density of the n-fold power of the unit symmetrized-atom law under
     the weak kernel, 0 < alpha <= 1, n >= 2:
@@ -228,8 +220,7 @@ def mixture_power_pdf(n: int, alpha: float, x):
     """
     n = _check_int("n", n, 2)
     _check_positive("alpha", alpha, 1.0)
-    arr, scalar = _as_array(x)
-    ax = np.maximum(np.abs(arr), 1.0)
+    ax = np.maximum(np.abs(x), 1.0)
     y = ax**-alpha
     val = (
         0.5
@@ -239,7 +230,7 @@ def mixture_power_pdf(n: int, alpha: float, x):
         * (1.0 - y) ** (n - 2)
         * (1.0 - alpha + (alpha * n - 1.0) * y)
     )
-    return _ret(np.where(np.abs(arr) > 1.0, val, 0.0), scalar)
+    return np.where(np.abs(x) > 1.0, val, 0.0)
 
 
 def _series_cutoff(n: int) -> float:
@@ -262,6 +253,7 @@ def _mu1_nfold_series(n: int, x: float) -> float:
     return math.factorial(n) * total / math.pi
 
 
+@_pointwise("x")
 def mu1_nfold_pdf(n: int, x):
     """Density of the n-fold classical convolution of the alpha = 1 law.
 
@@ -291,9 +283,7 @@ def mu1_nfold_pdf(n: int, x):
             g_prev2, g_prev1 = g_prev1, g_m
         return g_prev1
 
-    arr, scalar = _as_array(x)
-    out = np.vectorize(one)(arr)
-    return _ret(out, scalar)
+    return np.vectorize(one)(x)
 
 
 def mu1_nfold_pdf_quadrature(n: int, x: float) -> float:
@@ -306,15 +296,14 @@ def mu1_nfold_pdf_quadrature(n: int, x: float) -> float:
     return val / math.pi
 
 
+@_pointwise("x")
 def transience_sum(alpha: float, x):
     """sum_{n >= 1} F_n(x) for the unit-atom walk: x^alpha (2 - x^(-alpha)) on x >= 1."""
     _check_positive("alpha", alpha)
-    arr, scalar = _as_array(x)
-    if not np.all(arr >= 0):
-        raise ParameterError(f"threshold x must be nonnegative, got {x!r}")
-    safe = np.maximum(arr, 1.0)
-    out = np.where(arr >= 1.0, safe**alpha * (2.0 - safe**-alpha), 0.0)
-    return _ret(out, scalar)
+    if not np.all(x >= 0):
+        raise ParameterError(f"threshold x must be nonnegative, got {float(np.min(x))!r}")
+    safe = np.maximum(x, 1.0)
+    return np.where(x >= 1.0, safe**alpha * (2.0 - safe**-alpha), 0.0)
 
 
 def transience_partial_sum(alpha: float, x: float, n_max: int | None = None,
@@ -366,6 +355,7 @@ def _check_envelope_r(r):
     _check_real("r", r, "a finite real number above 1/2", lambda v: v > 0.5)
 
 
+@_pointwise("n")
 def envelope_prob(n, r: float):
     """P(|X_n|^alpha > n^(r+1)/ln n) for the symmetrized unit-atom walk.
 
@@ -382,12 +372,10 @@ def envelope_prob(n, r: float):
     _check_envelope_r(r)
     for v in np.ravel(n):
         _check_int("n", v, 1)
-    arr, scalar = _as_array(n)
-    q = np.log(arr) * arr ** (-r - 1.0)
+    q = np.log(n) * n ** (-r - 1.0)
     small = q < 1.0
     q_safe = np.where(small, np.minimum(q, 1.0 - 1e-16), 0.0)
-    m = arr - 1.0
+    m = n - 1.0
     val = -np.expm1(m * _log1p_minus_x(-q_safe) + _log1p_minus_x(m * q_safe))
     out = np.where(small, val, 1.0)
-    out = np.where(arr == 1.0, 0.0, out)
-    return _ret(out, scalar)
+    return np.where(n == 1.0, 0.0, out)

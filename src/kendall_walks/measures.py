@@ -18,10 +18,18 @@ Every sampler takes any numpy Generator and keeps one ``size`` rule
 ``ppf`` of n uniforms.  :class:`RngStream` is the Generator on the Philox
 stream keyed by ``(seed, stream_id)``: distinct pairs give independent
 streams, identical pairs reproduce draws bit for bit.
+
+One decorator, ``_pointwise``, owns the point rule of every law method,
+closed form and transform: a point argument becomes a float array of at
+least one dimension, a NaN point raises ParameterError, and all-scalar
+points give a ``float``.  ``Distribution`` applies it to the ``cdf``,
+``pdf``, ``ppf`` and ``scaled_alpha_moment`` of every law class.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -99,21 +107,57 @@ def _sized(size, draw):
     return np.asarray(draw(_check_int("size", size, 0)), dtype=float)
 
 
-def _as_array(x):
-    """``x`` as a float array of at least one dimension, and whether ``x``
-    is a scalar.  A scalar is evaluated as a one-element array: numpy's
-    vectorized ``pow`` can differ from the 0-d one in the last place, and
-    this keeps scalar and array results equal bit for bit."""
-    arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
+def _pointwise(*names):
+    """Decorator: the named point arguments reach the body as float arrays of
+    at least one dimension, a NaN entry or a bool or string point raises
+    ParameterError, and all-scalar points give a ``float``.  A scalar is a
+    one-element array because numpy's vectorized ``pow`` can differ from the
+    0-d one in the last place: scalar and array calls agree bit for bit."""
 
+    def decorate(fn):
+        params = list(inspect.signature(fn).parameters)
+        slots = [(name, params.index(name)) for name in names]
 
-def _ret(arr, scalar):
-    return float(np.reshape(arr, -1)[0]) if scalar else arr
+        @functools.wraps(fn)
+        def pointwise(*args, **kwargs):
+            args, scalar = list(args), True
+            for name, i in slots:
+                positional = i < len(args)
+                if not positional and name not in kwargs:
+                    continue  # the call itself raises the TypeError
+                raw = np.asarray(args[i] if positional else kwargs[name])
+                if raw.dtype.kind in "bSU":
+                    raise ParameterError(
+                        f"{fn.__qualname__}: {name} must be real, got {raw.dtype}")
+                arr = np.atleast_1d(np.asarray(raw, dtype=float))
+                if np.isnan(arr).any():
+                    raise ParameterError(f"{fn.__qualname__} is not defined at {name} = NaN")
+                scalar = scalar and raw.ndim == 0
+                if positional:
+                    args[i] = arr
+                else:
+                    kwargs[name] = arr
+            out = fn(*args, **kwargs)
+            return float(np.reshape(out, -1)[0]) if scalar else out
+
+        pointwise._pointwise = True
+        return pointwise
+
+    return decorate
 
 
 class Distribution:
-    """Base interface; concrete laws are the dataclasses below."""
+    """Base interface; concrete laws are the dataclasses below.  Every ``cdf``,
+    ``pdf``, ``ppf`` and ``scaled_alpha_moment`` a subclass defines is wrapped
+    in ``_pointwise``, in a user-defined law too."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for method in ("cdf", "pdf", "ppf", "scaled_alpha_moment"):
+            fn = cls.__dict__.get(method)
+            if inspect.isfunction(fn) and not getattr(fn, "_pointwise", False):
+                point = list(inspect.signature(fn).parameters)[1]
+                setattr(cls, method, _pointwise(point)(fn))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -152,13 +196,13 @@ class Distribution:
         """(location, mass) pairs of the discrete part."""
         return ()
 
+    @_pointwise("x")
     def cdf_left(self, x):
         """Left limit of the CDF at x."""
-        arr, scalar = _as_array(x)
-        out = np.asarray(self.cdf(arr), dtype=float).copy()
+        out = np.asarray(self.cdf(x), dtype=float)
         for loc, w in self.atoms():
-            out = np.where(arr == loc, out - w, out)
-        return _ret(out, scalar)
+            out = np.where(x == loc, out - w, out)
+        return out
 
     def scaled_alpha_moment(self, x, alpha: float):
         """``G(x) = E[(S/x)^alpha; S <= x]`` for laws carried by [0, inf)."""
@@ -228,28 +272,24 @@ class Dirac(Distribution):
         return np.full(n, self.location, dtype=float)
 
     def cdf(self, x):
-        arr, scalar = _as_array(x)
-        return _ret((arr >= self.location).astype(float), scalar)
+        return (x >= self.location).astype(float)
 
     def pdf(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(np.zeros_like(arr), scalar)
+        return np.zeros_like(x)
 
     def atoms(self):
         return ((self.location, 1.0),)
 
     def ppf(self, u):
-        arr, scalar = _as_array(u)
-        return _ret(np.full_like(arr, self.location), scalar)
+        return np.full_like(u, self.location)
 
     def _from_uniforms(self, u):
         return np.full(u.shape[0], self.location, dtype=float)
 
     def scaled_alpha_moment(self, x, alpha):
         self._require_half_line()
-        arr, scalar = _as_array(x)
-        ratio = self.location / np.where((arr >= self.location) & (arr > 0), arr, np.inf)
-        return _ret(ratio**alpha, scalar)
+        ratio = self.location / np.where((x >= self.location) & (x > 0), x, np.inf)
+        return ratio**alpha
 
     def abs_law(self):
         return Dirac(abs(self.location))
@@ -271,32 +311,26 @@ class Pareto(Distribution):
         return (self.scale, math.inf)
 
     def ppf(self, u):
-        arr, scalar = _as_array(u)
-        return _ret(self.scale * (1.0 - arr) ** (-1.0 / self.order), scalar)
+        return self.scale * (1.0 - u) ** (-1.0 / self.order)
 
     def cdf(self, x):
-        arr, scalar = _as_array(x)
-        y = np.maximum(arr / self.scale, 1.0)
-        return _ret(-np.expm1(-self.order * np.log(y)), scalar)
+        y = np.maximum(x / self.scale, 1.0)
+        return -np.expm1(-self.order * np.log(y))
 
     def pdf(self, x):
-        arr, scalar = _as_array(x)
-        y = np.maximum(arr / self.scale, 1.0)
-        out = np.where(
-            arr >= self.scale, (self.order / self.scale) * y ** (-self.order - 1.0), 0.0
+        y = np.maximum(x / self.scale, 1.0)
+        return np.where(
+            x >= self.scale, (self.order / self.scale) * y ** (-self.order - 1.0), 0.0
         )
-        return _ret(out, scalar)
 
     def scaled_alpha_moment(self, x, alpha):
         # s (y^-s - y^-alpha) / (alpha - s), y = x/scale, as the smaller power
         # times -expm1(-gap L) / gap, L = log y (0 at y = inf), which is L at gap 0
-        arr, scalar = _as_array(x)
         s, c = self.order, self.scale
-        y = np.maximum(arr / c, 1.0)
+        y = np.maximum(x / c, 1.0)
         log_y, gap = np.log(np.where(y < np.inf, y, 1.0)), abs(alpha - s)
         power = s * y ** -min(alpha, s)
-        val = power * log_y if gap == 0 else power * -np.expm1(-gap * log_y) / gap
-        return _ret(val, scalar)
+        return power * log_y if gap == 0 else power * -np.expm1(-gap * log_y) / gap
 
 
 @dataclass(frozen=True)
@@ -317,24 +351,19 @@ class SymPareto(Distribution):
     def ppf(self, u):
         # 2u and 2(1 - u) are floored at 2^-52, their values at the extreme
         # 53-bit uniforms, so u = 0 and u = 1 give finite draws
-        arr, scalar = _as_array(u)
-        lower = -np.maximum(2.0 * arr, 2.0**-52) ** (-1.0 / self.order)
-        upper = np.maximum(2.0 * (1.0 - arr), 2.0**-52) ** (-1.0 / self.order)
-        return _ret(self.scale * np.where(arr < 0.5, lower, upper), scalar)
+        lower = -np.maximum(2.0 * u, 2.0**-52) ** (-1.0 / self.order)
+        upper = np.maximum(2.0 * (1.0 - u), 2.0**-52) ** (-1.0 / self.order)
+        return self.scale * np.where(u < 0.5, lower, upper)
 
     def cdf(self, x):
-        arr, scalar = _as_array(x)
-        y = np.abs(arr) / self.scale
+        y = np.abs(x) / self.scale
         tail = 0.5 * np.where(y >= 1.0, np.maximum(y, 1.0) ** -self.order, 1.0)
-        out = np.where(arr <= 0, tail, 1.0 - tail)
-        return _ret(out, scalar)
+        return np.where(x <= 0, tail, 1.0 - tail)
 
     def pdf(self, x):
-        arr, scalar = _as_array(x)
-        y = np.abs(arr) / self.scale
+        y = np.abs(x) / self.scale
         tail = np.maximum(y, 1.0) ** (-self.order - 1.0)
-        out = np.where(y >= 1.0, (self.order / (2.0 * self.scale)) * tail, 0.0)
-        return _ret(out, scalar)
+        return np.where(y >= 1.0, (self.order / (2.0 * self.scale)) * tail, 0.0)
 
     def abs_law(self):
         return Pareto(self.order, self.scale)
@@ -356,42 +385,38 @@ class Beta(Distribution):
         return (0.0, 1.0)
 
     def ppf(self, u):
-        arr, scalar = _as_array(u)
-        return _ret(special.betaincinv(self.a, self.b, arr), scalar)
+        return special.betaincinv(self.a, self.b, u)
 
     def _sample(self, rng, n):
         return rng.beta(self.a, self.b, n)
 
     def cdf(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(special.betainc(self.a, self.b, np.clip(arr, 0.0, 1.0)), scalar)
+        return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
 
     def pdf(self, x):
-        arr, scalar = _as_array(x)
-        inside = (arr > 0) & (arr < 1)
-        z = np.where(inside, arr, 0.5)
+        inside = (x > 0) & (x < 1)
+        z = np.where(inside, x, 0.5)
         logpdf = (
             (self.a - 1.0) * np.log(z)
             + (self.b - 1.0) * np.log1p(-z)
             - special.betaln(self.a, self.b)
         )
-        return _ret(np.where(inside, np.exp(logpdf), 0.0), scalar)
+        return np.where(inside, np.exp(logpdf), 0.0)
 
     def scaled_alpha_moment(self, x, alpha):
         # x^-alpha B(a+alpha, b)/B(a, b) I_x(a+alpha, b); below 1e-3, where that
         # over- or underflows, F(x) times the ratio of the series of G and F,
         # a/(a+alpha) 2F1(a+b+alpha, 1; a+alpha+1; x) / 2F1(a+b, 1; a+1; x),
         # so that F - G keeps the digits of F
-        arr, scalar = _as_array(x)
         a, b = self.a, self.b
-        small = arr < 1e-3
-        z, big = np.where(small, np.maximum(arr, 0.0), 0.0), np.where(small, 1.0, arr)
+        small = x < 1e-3
+        z, big = np.where(small, np.maximum(x, 0.0), 0.0), np.where(small, 1.0, x)
         series = self.cdf(z) * a / (a + alpha) * (
             special.hyp2f1(a + b + alpha, 1.0, a + alpha + 1.0, z)
             / special.hyp2f1(a + b, 1.0, a + 1.0, z))
         incomplete = (big**-alpha * special.poch(a, alpha) / special.poch(a + b, alpha)
                       * special.betainc(a + alpha, b, np.minimum(big, 1.0)))
-        return _ret(np.where(small, series, incomplete), scalar)
+        return np.where(small, series, incomplete)
 
 
 @dataclass(frozen=True)
@@ -410,22 +435,19 @@ class Gamma(Distribution):
         return (0.0, math.inf)
 
     def ppf(self, u):
-        arr, scalar = _as_array(u)
-        return _ret(special.gammaincinv(self.shape, arr) / self.rate, scalar)
+        return special.gammaincinv(self.shape, u) / self.rate
 
     def _sample(self, rng, n):
         return rng.gamma(self.shape, 1.0 / self.rate, n)
 
     # rate * x may overflow to inf, where gammainc(a, inf) is 1 and exp(-inf) 0
     def cdf(self, x):
-        arr, scalar = _as_array(x)
         with np.errstate(over="ignore"):
-            return _ret(special.gammainc(self.shape, self.rate * np.maximum(arr, 0.0)), scalar)
+            return special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
 
     def pdf(self, x):
-        arr, scalar = _as_array(x)
-        pos = (arr > 0) & (arr < math.inf)
-        z = np.where(pos, arr, 1.0)
+        pos = (x > 0) & (x < math.inf)
+        z = np.where(pos, x, 1.0)
         with np.errstate(over="ignore"):
             logpdf = (
                 self.shape * math.log(self.rate)
@@ -433,24 +455,23 @@ class Gamma(Distribution):
                 - self.rate * z
                 - special.gammaln(self.shape)
             )
-        return _ret(np.where(pos, np.exp(logpdf), 0.0), scalar)
+        return np.where(pos, np.exp(logpdf), 0.0)
 
     def scaled_alpha_moment(self, x, alpha):
         # Gamma(a+alpha)/Gamma(a) z^-alpha P(a+alpha, z) at z = rate x, with
         # z^-alpha = rate^-alpha x^-alpha where z overflows; below 1e-3, F(x) times
         # a/(a+alpha) 1F1(1; a+alpha+1; z) / 1F1(1; a+1; z), as for Beta
-        arr, scalar = _as_array(x)
         a = self.shape
         with np.errstate(over="ignore"):
-            z = self.rate * np.maximum(arr, 0.0)
+            z = self.rate * np.maximum(x, 0.0)
         small = z < 1e-3
         zs, big = np.where(small, z, 0.0), np.where(small, 1.0, z)
         series = special.gammainc(a, zs) * a / (a + alpha) * (
             special.hyp1f1(1.0, a + alpha + 1.0, zs) / special.hyp1f1(1.0, a + 1.0, zs))
         power = np.where(big < np.inf, big**-alpha,
-                         self.rate**-alpha * np.maximum(arr, 1.0) ** -alpha)
+                         self.rate**-alpha * np.maximum(x, 1.0) ** -alpha)
         incomplete = special.poch(a, alpha) * power * special.gammainc(a + alpha, big)
-        return _ret(np.where(small, series, incomplete), scalar)
+        return np.where(small, series, incomplete)
 
 
 @dataclass(frozen=True)
@@ -462,34 +483,31 @@ class Uniform01(Distribution):
         return (0.0, 1.0)
 
     def ppf(self, u):
-        arr, scalar = _as_array(u)
-        return _ret(arr.copy(), scalar)
+        return u.copy()
 
     def cdf(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(np.clip(arr, 0.0, 1.0), scalar)
+        return np.clip(x, 0.0, 1.0)
 
     def pdf(self, x):
-        arr, scalar = _as_array(x)
-        return _ret(((arr > 0) & (arr < 1)).astype(float), scalar)
+        return ((x > 0) & (x < 1)).astype(float)
 
     def scaled_alpha_moment(self, x, alpha):
-        arr, scalar = _as_array(x)
-        val = np.where(arr <= 1.0, np.maximum(arr, 0.0), np.maximum(arr, 1.0) ** -alpha)
-        return _ret(val / (alpha + 1.0), scalar)
+        val = np.where(x <= 1.0, np.maximum(x, 0.0), np.maximum(x, 1.0) ** -alpha)
+        return val / (alpha + 1.0)
 
 
+@_pointwise("x")
 def mu1_pdf(x):
     """Density ``(1 - cos x) / (pi x^2)``, continuous at 0 and 0 at +-inf."""
-    arr, scalar = _as_array(x)
-    small = np.abs(arr) < 1e-6
-    z = np.where(small, 1.0, arr)
+    small = np.abs(x) < 1e-6
+    z = np.where(small, 1.0, x)
     # pi z^2 overflows to inf above about 1e154, where the quotient is 0
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.where(small, 1.0 / (2.0 * np.pi), (1.0 - np.cos(z)) / (np.pi * z * z))
-    return _ret(np.where(np.isinf(arr), 0.0, out), scalar)
+    return np.where(np.isinf(x), 0.0, out)
 
 
+@_pointwise("x")
 def mu1_cdf(x):
     """CDF of the law with characteristic function ``(1 - |t|)_+``.
 
@@ -498,15 +516,15 @@ def mu1_cdf(x):
     as x -> 0 (``F(x) - 1/2 ~ x / (2 pi)``).  At 0 and +-inf the value is
     the exact 1/2, 1 or 0.
     """
-    arr, scalar = _as_array(x)
-    regular = np.isfinite(arr) & (arr != 0.0)
-    z = np.where(regular, arr, 1.0)
+    regular = np.isfinite(x) & (x != 0.0)
+    z = np.where(regular, x, 1.0)
     si, _ = special.sici(z)
     out = np.where(regular, 0.5 + (si - 2.0 * np.sin(0.5 * z) ** 2 / z) / np.pi,
-                   0.5 + 0.5 * np.sign(arr))
-    return _ret(np.clip(out, 0.0, 1.0), scalar)
+                   0.5 + 0.5 * np.sign(x))
+    return np.clip(out, 0.0, 1.0)
 
 
+@_pointwise("u")
 def mu1_ppf(u):
     """Quantile of ``mu_1``: solves ``mu1_cdf(x) = min(u, 1 - u)`` on x <= 0.
 
@@ -520,10 +538,9 @@ def mu1_ppf(u):
     below about two ulp of x.  ``p`` is floored at 2^-54, half the spacing of 53-bit uniforms, so
     u = 0 gives a finite value.
     """
-    arr, scalar = _as_array(u)
-    if np.any(~((arr >= 0.0) & (arr <= 1.0))):
+    if np.any((u < 0.0) | (u > 1.0)):
         raise ParameterError("mu1_ppf needs u in [0, 1]")
-    p = np.maximum(np.minimum(arr, 1.0 - arr), 2.0**-54).ravel()
+    p = np.maximum(np.minimum(u, 1.0 - u), 2.0**-54).ravel()
     x = np.tan(np.pi * (p - 0.5))
     lo = np.full_like(p, -np.inf)
     hi = np.zeros_like(p)
@@ -544,8 +561,7 @@ def mu1_ppf(u):
         active = active[~done]
         if active.size == 0:
             break
-    x = np.where(arr.ravel() > 0.5, -x, x).reshape(arr.shape)
-    return _ret(x, scalar)
+    return np.where(u.ravel() > 0.5, -x, x).reshape(u.shape)
 
 
 def _mu1_proposals(rng, k):
@@ -628,9 +644,8 @@ class MuAlpha(Distribution):
     def cdf(self, x):
         # Gil-Pelaez on the compactly supported characteristic function:
         # F(v) = 1/2 + (Si(v) - int_0^1 sin(t v) t^(a-1) dt) / pi
-        arr, scalar = _as_array(x)
         if self.alpha == 1.0:
-            return _ret(mu1_cdf(arr), scalar)
+            return mu1_cdf(x)
         a = self.alpha
 
         def one(v):
@@ -642,14 +657,12 @@ class MuAlpha(Distribution):
             )
             return 0.5 + (special.sici(v)[0] - j) / np.pi
 
-        out = np.vectorize(one)(arr)
-        return _ret(np.clip(out, 0.0, 1.0), scalar)
+        return np.clip(np.vectorize(one)(x), 0.0, 1.0)
 
     def pdf(self, x):
         # f(v) = (sin(v) / v - int_0^1 cos(t v) t^a dt) / pi
-        arr, scalar = _as_array(x)
         if self.alpha == 1.0:
-            return _ret(mu1_pdf(arr), scalar)
+            return mu1_pdf(x)
         a = self.alpha
 
         def one(v):
@@ -662,8 +675,7 @@ class MuAlpha(Distribution):
             lead = 1.0 if v == 0.0 else np.sin(v) / v
             return (lead - k) / np.pi
 
-        out = np.vectorize(one)(arr)
-        return _ret(np.maximum(out, 0.0), scalar)
+        return np.maximum(np.vectorize(one)(x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -712,17 +724,11 @@ class FiniteMixture(Distribution):
     def _from_uniforms(self, u):
         return self._by_component(u[:, 0], lambda law, mask: law._from_uniforms(u[mask, 1:]))
 
-    def _weighted_sum(self, value, x):
-        """``sum_j w_j value(law_j, x)`` over the components."""
-        arr, scalar = _as_array(x)
-        out = sum(w * np.asarray(value(law, arr)) for w, law in self.components)
-        return _ret(out, scalar)
-
     def cdf(self, x):
-        return self._weighted_sum(lambda law, arr: law.cdf(arr), x)
+        return sum(w * np.asarray(law.cdf(x)) for w, law in self.components)
 
     def pdf(self, x):
-        return self._weighted_sum(lambda law, arr: law.pdf(arr), x)
+        return sum(w * np.asarray(law.pdf(x)) for w, law in self.components)
 
     def atoms(self):
         merged: dict[float, float] = {}
@@ -733,7 +739,7 @@ class FiniteMixture(Distribution):
 
     def scaled_alpha_moment(self, x, alpha):
         self._require_half_line()
-        return self._weighted_sum(lambda law, arr: law.scaled_alpha_moment(arr, alpha), x)
+        return sum(w * np.asarray(law.scaled_alpha_moment(x, alpha)) for w, law in self.components)
 
     def abs_law(self):
         return FiniteMixture(tuple((w, law.abs_law()) for w, law in self.components))
@@ -759,17 +765,13 @@ class Scaled(Distribution):
         return self.base.sample(rng, n) * self.factor
 
     def cdf(self, x):
-        arr, scalar = _as_array(x)
         if self.factor > 0:
-            out = np.asarray(self.base.cdf(arr / self.factor))
-        else:
-            out = 1.0 - np.asarray(self.base.cdf_left(arr / self.factor))
-        return _ret(out, scalar)
+            return np.asarray(self.base.cdf(x / self.factor))
+        return 1.0 - np.asarray(self.base.cdf_left(x / self.factor))
 
     def pdf(self, x):
-        arr, scalar = _as_array(x)
         c = abs(self.factor)
-        return _ret(np.asarray(self.base.pdf(arr / self.factor)) / c, scalar)
+        return np.asarray(self.base.pdf(x / self.factor)) / c
 
     def atoms(self):
         return tuple(
@@ -790,13 +792,11 @@ class Scaled(Distribution):
         return self.base._from_uniforms(self._base_uniforms(u)) * self.factor
 
     def ppf(self, u):
-        arr, scalar = _as_array(u)
-        out = np.asarray(self.base.ppf(self._base_uniforms(arr))) * self.factor
-        return _ret(out, scalar)
+        return np.asarray(self.base.ppf(self._base_uniforms(u))) * self.factor
 
     def scaled_alpha_moment(self, x, alpha):
         self._require_half_line()
-        return self.base.scaled_alpha_moment(np.asarray(x, dtype=float) / self.factor, alpha)
+        return self.base.scaled_alpha_moment(x / self.factor, alpha)
 
     def abs_law(self):
         return Scaled(self.base.abs_law(), abs(self.factor))

@@ -218,9 +218,9 @@ def empirical_chf(samples, t_grid):
     averages suffice in the symmetric-law settings verified here.
     """
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise ParameterError("empirical_chf needs at least one sample")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if x.size == 0 or np.isnan(x).any() or np.isnan(t).any():
+        raise ParameterError("empirical_chf needs at least one sample, and no NaN sample or t")
     est = np.empty(t.size)
     se = np.empty(t.size)
     for j, tj in enumerate(t):

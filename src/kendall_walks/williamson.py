@@ -17,8 +17,9 @@ Richardson step are used only for black-box transforms.
 
 The half-line requirement is the law's own rule,
 ``Distribution._require_half_line``, shared with the Kendall
-convolution.  A scalar argument is evaluated as a one-element array, so
-scalar and array calls agree bit for bit.
+convolution, and the point rule is ``measures._pointwise``: a scalar is
+evaluated as a one-element array, so scalar and array calls agree bit for
+bit, and a NaN point raises ParameterError.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import logging
 import numpy as np
 
 from .errors import ParameterError, TransformError
-from .measures import Distribution, _as_array, _check_int, _check_positive, _ret
+from .measures import Distribution, _check_int, _check_positive, _pointwise
 
 logger = logging.getLogger(__name__)
+_PROBE_POINTS = 49  # log-spaced t in [1e-6, 1e6], besides t = 0, that probe a transform
 
 __all__ = ["phi", "phi_prime", "nstep_cdf", "nstep_pdf", "invert_transform"]
 
@@ -41,28 +43,28 @@ def _reciprocal(arr):
         return 1.0 / arr
 
 
+@_pointwise("t")
 def phi(law: Distribution, alpha: float, t):
     """Evaluate ``Phi_nu(t) = F(1/t) - G(1/t)`` for ``t >= 0`` (vectorized in t)."""
     _check_positive("alpha", alpha)
     law._require_half_line()
-    arr, scalar = _as_array(t)
-    if not np.all(arr >= 0):
+    if not np.all(t >= 0):
         raise ParameterError("phi is defined for t >= 0")
-    pos = arr > 0
-    inv = _reciprocal(np.where(pos, arr, 1.0))
+    pos = t > 0
+    inv = _reciprocal(np.where(pos, t, 1.0))
     out = np.asarray(law.cdf(inv), dtype=float) - law.scaled_alpha_moment(inv, alpha)
-    return _ret(np.clip(np.where(pos, out, 1.0), 0.0, 1.0), scalar)
+    return np.clip(np.where(pos, out, 1.0), 0.0, 1.0)
 
 
+@_pointwise("t")
 def phi_prime(law: Distribution, alpha: float, t):
     """Analytic derivative ``Phi'(t) = -alpha G(1/t) / t``, t > 0."""
     _check_positive("alpha", alpha)
     law._require_half_line()
-    arr, scalar = _as_array(t)
-    if not np.all(arr > 0):
+    if not np.all(t > 0):
         raise ParameterError("phi_prime is defined for t > 0")
-    g = np.asarray(law.scaled_alpha_moment(_reciprocal(arr), alpha), dtype=float)
-    return _ret(-alpha * g / arr, scalar)
+    g = np.asarray(law.scaled_alpha_moment(_reciprocal(t), alpha), dtype=float)
+    return -alpha * g / t
 
 
 def _clip_unit(values, what):
@@ -73,21 +75,19 @@ def _clip_unit(values, what):
 
 
 def _nstep_parts(law: Distribution, alpha: float, n: int, x):
-    """Checked ``n``, the scalar flag, the mask x > 0, x with the other entries
-    set to 1, ``G(x)`` and ``Phi(1/x) = F(x) - G(x)``: the opening of both laws."""
+    """Checked ``n``, the mask x > 0, x with the other entries set to 1,
+    ``G(x)`` and ``Phi(1/x) = F(x) - G(x)``: the opening of both laws."""
     _check_positive("alpha", alpha)
     law._require_half_line()
     n = _check_int("n", n, 1)
-    arr, scalar = _as_array(x)
-    if np.isnan(arr).any():
-        raise ParameterError("the n-step law is not defined at x = NaN")
-    pos = arr > 0
-    safe = np.where(pos, arr, 1.0)
+    pos = x > 0
+    safe = np.where(pos, x, 1.0)
     g = np.asarray(law.scaled_alpha_moment(safe, alpha), dtype=float)
     ph = np.clip(np.asarray(law.cdf(safe), dtype=float) - g, 0.0, 1.0)
-    return n, scalar, pos, safe, g, ph
+    return n, pos, safe, g, ph
 
 
+@_pointwise("x")
 def nstep_cdf(law: Distribution, alpha: float, n: int, x, left: bool = False):
     """CDF of the n-step walk marginal driven by ``law`` (right continuous).
 
@@ -95,14 +95,15 @@ def nstep_cdf(law: Distribution, alpha: float, n: int, x, left: bool = False):
     at atoms of the n-step law: an atom of mass w at x adds w to ``G(x)``
     and nothing to ``Phi(1/x)``.
     """
-    n, scalar, pos, safe, g, ph = _nstep_parts(law, alpha, n, x)
+    n, pos, safe, g, ph = _nstep_parts(law, alpha, n, x)
     if left:
         for loc, w in law.atoms():
             g = np.where(safe == loc, g - w, g)
     out = ph**n + n * ph ** (n - 1) * g
-    return _ret(_clip_unit(np.where(pos, out, 0.0), "nstep_cdf"), scalar)
+    return _clip_unit(np.where(pos, out, 0.0), "nstep_cdf")
 
 
+@_pointwise("x")
 def nstep_pdf(law: Distribution, alpha: float, n: int, x):
     """Density of the absolutely continuous part of the n-step marginal.
 
@@ -111,14 +112,14 @@ def nstep_pdf(law: Distribution, alpha: float, n: int, x):
         f_n(x) = alpha n (n-1) Phi^(n-2)(1/x) G(x) (G(x) / x)
                  + n Phi^(n-1)(1/x) * pdf_nu(x).
     """
-    n, scalar, pos, safe, g, ph = _nstep_parts(law, alpha, n, x)
+    n, pos, safe, g, ph = _nstep_parts(law, alpha, n, x)
     first = alpha * n * (n - 1) * ph ** (n - 2) * g * (g / safe) if n >= 2 else 0.0
     out = first + n * ph ** (n - 1) * np.asarray(law.pdf(safe), dtype=float)
-    return _ret(np.where(pos, out, 0.0), scalar)
+    return np.where(pos, out, 0.0)
 
 
-def _probe_transform(phi_fn, n_points: int = 49):
-    ts = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, n_points)))
+def _probe_transform(phi_fn):
+    ts = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, _PROBE_POINTS)))
     try:
         vals = np.asarray(phi_fn(ts), dtype=float)
     except TypeError as exc:
@@ -138,6 +139,7 @@ def _probe_transform(phi_fn, n_points: int = 49):
         raise TransformError("phi takes values outside [0, 1] on the probe grid")
 
 
+@_pointwise("x")
 def invert_transform(phi_fn, alpha: float, x, dphi=None):
     """Recover ``F(x)`` from a transform ``phi_fn`` via
 
@@ -154,11 +156,10 @@ def invert_transform(phi_fn, alpha: float, x, dphi=None):
     """
     _check_positive("alpha", alpha)
     _probe_transform(phi_fn)
-    xs, scalar = _as_array(x)
-    if not np.isfinite(xs).all():
+    if np.isinf(x).any():
         raise ParameterError("invert_transform is defined at finite x only")
-    pos = xs > 0
-    safe = np.where(pos, xs, 1.0)
+    pos = x > 0
+    safe = np.where(pos, x, 1.0)
     inv = _reciprocal(safe)
     gx = np.asarray(phi_fn(inv), dtype=float)
     if dphi is not None:  # d/dx phi(1/x) = -phi'(1/x) (1/x) / x, 0 where 1/x is inf
@@ -172,4 +173,4 @@ def invert_transform(phi_fn, alpha: float, x, dphi=None):
         d_h2 = (g[2] - g[3]) / h
         deriv = (4.0 * d_h2 - d_h) / 3.0
     out = np.where(pos, gx + safe * deriv / alpha, 0.0)
-    return _ret(_clip_unit(out, "invert_transform"), scalar)
+    return _clip_unit(out, "invert_transform")

@@ -28,6 +28,7 @@ from kendall_walks import (
     WalkConfig,
     convolve_sample,
     kernel_sample,
+    invert_transform,
     ks_statistic,
     mu1_cdf,
     mu1_pdf,
@@ -370,6 +371,8 @@ def _scalar_cases():
         ("phi_prime", lambda t: phi_prime(Pareto(2.0), 0.7, t), ax),
         ("nstep_cdf", lambda x: nstep_cdf(Gamma(1.5, 2.0), 0.7, 3, x), ax),
         ("nstep_pdf", lambda x: nstep_pdf(Gamma(1.5, 2.0), 0.7, 3, x), ax),
+        ("invert_transform",
+         lambda x: invert_transform(lambda t: phi(Pareto(2.0), 0.7, t), 0.7, x), ax),
     )
 
 
@@ -384,6 +387,20 @@ def test_scalar_calls_equal_array_calls_bit_for_bit():
         if not np.array_equal(vectorized.view(np.int64), np.array(scalars).view(np.int64)):
             mismatched.append(name)
     assert mismatched == []
+
+
+def test_nan_points_raise_parameter_error():
+    # one point contract for every law method, closed form and transform:
+    # a NaN point, alone or in an array, never becomes a value
+    silent = []
+    for name, fn, points in _scalar_cases():
+        for bad in (np.nan, np.array([points[0], np.nan])):
+            try:
+                fn(bad)
+            except ParameterError:
+                continue
+            silent.append(name)
+    assert silent == []
 
 
 _EXTREME_LAWS = (Pareto(2.0), Pareto(0.7, 3.0), SymPareto(0.5), Gamma(1.5, 2.0),

@@ -81,13 +81,16 @@ def test_ks_two_sample_null_and_alternative():
 
 
 def test_ks_statistics_reject_nan_samples():
-    # a NaN sample has no place in an ECDF: it would give a silent distance,
-    # or a NaN that a JSON report cannot carry
+    # a NaN sample has no place in an ECDF or an empirical characteristic
+    # function, nor a NaN t: it would give a silent distance, or a NaN that a
+    # JSON report cannot carry
     nan = float("nan")
     for call in (
         lambda: ks_two_sample([nan, 1.0], [1.0, 2.0]),
         lambda: ks_two_sample([1.0, 2.0], [2.0, nan]),
         lambda: ks_statistic([nan, 1.0], Pareto(2.0).cdf),
+        lambda: empirical_chf([nan, 1.0], [0.1, 0.5]),
+        lambda: empirical_chf([1.0, 2.0], [0.1, nan]),
     ):
         with pytest.raises(ParameterError):
             call()
