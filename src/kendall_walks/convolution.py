@@ -1,12 +1,12 @@
 """Generalized convolutions acting on point masses and samples.
 
 Each convolution kind is determined by its action on a pair of point
-masses: :func:`kernel` returns that action as a law.  The two
-Kendall-type kinds map (delta_a, delta_b) to an atom plus a rescaled
-power tail, ``(1 - z^alpha) delta_v + z^alpha T_v Pareto(2 alpha)``
-(the weak kind symmetrizes both parts); the remaining kinds produce
-purely atomic laws.  Each kind owns its kernel draw: ``_transition`` maps
-``_draws`` uniforms to it, for :func:`kernel_sample` and the walk engine.
+masses: :func:`kernel` checks the arguments and returns the kind's
+``_kernel`` law.  The two Kendall-type kinds map (delta_a, delta_b) to
+``(1 - z^alpha) delta_v + z^alpha T_v Pareto(2 alpha)`` (the weak kind
+symmetrizes both parts), v and z^alpha from ``_kendall_weight``; the
+remaining kinds produce purely atomic laws.  Each kind owns its kernel
+draw: ``_transition`` maps ``_draws`` uniforms to it, for both samplers.
 
 Measure-level convolution is exposed through sampling
 (:func:`convolve_sample`), through exact kernel mixing for atomic laws
@@ -54,6 +54,10 @@ class Convolution:
     _draws: int = 0
 
     def kernel(self, a: float, b: float) -> Distribution:
+        self._check_points(a, b)
+        return self._kernel(a, b)
+
+    def _kernel(self, a, b) -> Distribution:
         raise NotImplementedError
 
     def _transition(self, x, dx, *u):
@@ -76,15 +80,19 @@ class Convolution:
             law._require_half_line()
 
 
+def _kendall_weight(alpha, a, b):
+    """(v, w) at scalars or arrays ``a, b >= 0``: v = max(a, b) and the
+    switch weight w = (min(a, b) / v)^alpha, 0 where v is 0."""
+    v = np.maximum(a, b)
+    return v, (np.minimum(a, b) / np.where(v > 0, v, 1.0)) ** alpha
+
+
 def _kendall_kernel(alpha, a, b, atom, tail):
-    """(1 - w) atom(v) + w tail(2 alpha, v) at v = max(a, b), w = (min/v)^alpha.
+    """(1 - w) atom(v) + w tail(2 alpha, v) at (v, w) = ``_kendall_weight``.
 
     ``a, b >= 0``; the law collapses to one part when w is 0 or 1.
     """
-    v = max(a, b)
-    if v == 0.0:
-        return Dirac(0.0)
-    w = (min(a, b) / v) ** alpha
+    v, w = map(float, _kendall_weight(alpha, a, b))
     if w == 0.0:
         return atom(v)
     if w == 1.0:
@@ -98,14 +106,12 @@ class Kendall(Convolution):
 
     alpha: float
     name = "kendall"
-    real_line = False
     _draws = 2
 
     def __post_init__(self):
         _check_positive("alpha", self.alpha)
 
-    def kernel(self, a, b):
-        self._check_points(a, b)
+    def _kernel(self, a, b):
         return _kendall_kernel(self.alpha, a, b, Dirac, Pareto)
 
     def _transition(self, x, dx, u_q, u_t):
@@ -124,8 +130,7 @@ class WeakKendall(Convolution):
     def __post_init__(self):
         _check_positive("alpha", self.alpha, 1.0)
 
-    def kernel(self, a, b):
-        self._check_points(a, b)
+    def _kernel(self, a, b):
         return _kendall_kernel(self.alpha, abs(a), abs(b), symmetrized_atom, SymPareto)
 
     def _transition(self, x, dx, u_q, u_t, u_r):
@@ -137,10 +142,8 @@ class MaxConv(Convolution):
     """delta_a x delta_b -> delta_{max(a, b)}."""
 
     name = "max"
-    real_line = False
 
-    def kernel(self, a, b):
-        self._check_points(a, b)
+    def _kernel(self, a, b):
         return Dirac(max(a, b))
 
     def _transition(self, x, dx):
@@ -153,13 +156,11 @@ class AlphaConv(Convolution):
 
     alpha: float
     name = "alpha_conv"
-    real_line = False
 
     def __post_init__(self):
         _check_positive("alpha", self.alpha)
 
-    def kernel(self, a, b):
-        self._check_points(a, b)
+    def _kernel(self, a, b):
         return Dirac((a**self.alpha + b**self.alpha) ** (1.0 / self.alpha))
 
     def _transition(self, x, dx):
@@ -171,11 +172,9 @@ class SymmetricConv(Convolution):
     """delta_a x delta_b -> (delta_{a+b} + delta_{|a-b|}) / 2."""
 
     name = "symmetric_conv"
-    real_line = False
     _draws = 1
 
-    def kernel(self, a, b):
-        self._check_points(a, b)
+    def _kernel(self, a, b):
         hi, lo = a + b, abs(a - b)
         if hi == lo:
             return Dirac(hi)
@@ -208,10 +207,8 @@ def _kendall_transition(alpha, x, dx, u_q, u_t):
     Returns (draw, realized multiplier, switch): the multiplier is the
     Pareto(2 alpha) tail factor when the switch fired, else 1.
     """
-    v = np.maximum(x, dx)
-    safe = np.where(v > 0, v, 1.0)
-    z = np.minimum(x, dx) / safe
-    q = u_q < z**alpha
+    v, w = _kendall_weight(alpha, x, dx)
+    q = u_q < w
     theta = Pareto(2.0 * alpha).ppf(u_t)
     mult = np.where(q, theta, 1.0)
     nxt = np.where(v > 0, v * mult, 0.0)
@@ -226,11 +223,9 @@ def _weak_transition(alpha, x, dx, u_q, u_t, u_r):
     switch fired, else the +-1 atom sign.
     """
     ax, adx = np.abs(x), np.abs(dx)
-    v = np.maximum(ax, adx)
-    safe = np.where(v > 0, v, 1.0)
-    z = np.minimum(ax, adx) / safe
+    v, w = _kendall_weight(alpha, ax, adx)
     sgn = np.where(ax >= adx, np.sign(x), np.sign(dx))
-    q = u_q < z**alpha
+    q = u_q < w
     theta = SymPareto(2.0 * alpha).ppf(u_t)
     r = np.where(u_r < 0.5, -1.0, 1.0)
     mult = np.where(q, theta, r)

@@ -8,16 +8,15 @@ overflows and is all the Williamson transform reads.  Laws are frozen
 dataclasses, so structural equality works and they can be used as
 dictionary keys.
 
-A walk's step takes ``_draws`` uniforms of its path stream, and the law
-maps each ``(m, _draws)`` block to m draws in ``_from_uniforms``: by
-default one uniform through ``ppf``, so a law with a quantile needs no
-edit in :mod:`.walks`.  ``Dirac`` takes none and ``MuAlpha`` three.
+A draw takes ``_draws`` uniforms, and the law maps each ``(m, _draws)``
+block to m draws in ``_from_uniforms``: by default one uniform through
+``ppf``.  ``Dirac`` takes none and ``MuAlpha`` three.
 
 Every sampler takes any numpy Generator and keeps one ``size`` rule
 (``_sized``); a law supplies n draws through ``_sample(rng, n)``, by default
-``ppf`` of n uniforms.  :class:`RngStream` is the Generator on the Philox
-stream keyed by ``(seed, stream_id)``: distinct pairs give independent
-streams, identical pairs reproduce draws bit for bit.
+that block map on n rows of uniforms.  :class:`RngStream` is the Generator
+on the Philox stream keyed by ``(seed, stream_id)``: distinct pairs give
+independent streams, identical pairs reproduce draws bit for bit.
 
 One decorator, ``_pointwise``, owns the point rule of every law method,
 closed form and transform: a point argument becomes a float array of at
@@ -168,18 +167,18 @@ class Distribution:
         return _sized(size, lambda n: self._sample(rng, n))
 
     def _sample(self, rng, n):
-        """n draws as an array: by default ``ppf`` of n uniforms of ``rng``."""
-        return self.ppf(rng.random(n))
+        """n draws as an array: by default ``_from_uniforms`` of n rows of uniforms."""
+        return self._from_uniforms(rng.random((n, self._draws)))
 
     def ppf(self, u):
         raise NotImplementedError
 
     @property
     def _draws(self) -> int:
-        """Uniforms one draw takes from a walk's path stream; ParameterError
-        for a law with neither a ``ppf`` nor a block sampler of its own."""
+        """Uniforms one draw takes; ParameterError for a law with neither a
+        ``ppf`` nor a block sampler of its own."""
         if type(self).ppf is Distribution.ppf:
-            raise ParameterError(f"no block sampler for step law {self!r}")
+            raise ParameterError(f"{self!r} has neither a ppf nor a block sampler")
         return 1
 
     def _from_uniforms(self, u):
@@ -267,9 +266,6 @@ class Dirac(Distribution):
     @property
     def support(self):
         return (self.location, self.location)
-
-    def _sample(self, rng, n):
-        return np.full(n, self.location, dtype=float)
 
     def cdf(self, x):
         return (x >= self.location).astype(float)

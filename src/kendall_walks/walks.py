@@ -21,8 +21,9 @@ module branches on no kind and knows no law class.
 Path ``m`` of a simulation draws exclusively from the stream
 ``(seed, stream_id=m)``; within a path the uniforms are consumed in a
 fixed order (step, switch, tail, sign), with the tail uniform drawn on
-every transition so the per-path draw count is constant.  This makes the
-output independent of chunking and worker count, bit for bit.  Two
+every transition so the per-path draw count is constant; ``simulate``
+works it out once, for the memory guard and for every chunk.  This makes
+the output independent of chunking and worker count, bit for bit.  Two
 generators produce these streams with the same bits as ``RngStream``:
 for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (240) uniforms per path, a numpy
 Philox4x64-10 computed over arrays of paths (``_philox_rows``); for
@@ -300,11 +301,10 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     return out
 
 
-def _simulate_chunk_quantile(cfg: WalkConfig, kind, kdraws: int, lo: int, hi: int, out):
+def _simulate_chunk_quantile(cfg: WalkConfig, kind, kdraws, total, lo, hi, out):
     states, steps, thetas, switches = out
     n_steps = cfg.horizon
     per_tr = kdraws + kind._draws
-    total = kdraws + (n_steps - 1) * per_tr
     u = _path_uniform_block(cfg.seed, lo, hi, total)
     sl = slice(lo, hi)
     states[sl, 0] = 0.0
@@ -356,13 +356,15 @@ def simulate(config: WalkConfig) -> WalkEnsemble:
     m, n = config.paths, config.horizon
     kind = parse_convolution(config.convolution, config.alpha)
     kdraws = config.unit_step._draws
-    _check_memory(m, n, kdraws + (n - 1) * (kdraws + kind._draws))
+    total = kdraws + (n - 1) * (kdraws + kind._draws)  # uniforms per path
+    _check_memory(m, n, total)
     states = np.empty((m, n + 1), dtype=float, order="F")
     steps = np.empty((m, n), dtype=float, order="F")
     thetas = np.empty((m, max(n - 1, 0)), dtype=float, order="F")
     switches = np.zeros((m, max(n - 1, 0)), dtype=bool, order="F")
     out = (states, steps, thetas, switches)
-    _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(config, kind, kdraws, lo, hi, out))
+    _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(
+        config, kind, kdraws, total, lo, hi, out))
     return WalkEnsemble(config=config, states=states, steps=steps,
                         thetas=thetas, switches=switches)
 
