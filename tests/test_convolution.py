@@ -203,6 +203,27 @@ def test_kernel_sample_rejects_a_kind_without_a_transition():
         kernel_sample(Foreign(), np.ones(2), np.ones(2), RngStream(14, 0))
 
 
+@pytest.mark.parametrize("real_line", [False, True])
+def test_a_kind_defining_only_its_kernel_gets_the_argument_check(real_line):
+    # Convolution.kernel checks the arguments once for every kind
+    class Nearest(Convolution):
+        name = "nearest"
+
+        def _kernel(self, a, b):
+            return Dirac(min(a, b))
+
+    Nearest.real_line = real_line
+    assert Nearest().kernel(2.0, 3.0) == Dirac(2.0)
+    for a, b in ((np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(SupportError, match="NaN"):
+            Nearest().kernel(a, b)
+    if real_line:
+        assert kernel(Nearest(), -1.0, 2.0) == Dirac(-1.0)
+    else:
+        with pytest.raises(SupportError, match="half-line"):
+            kernel(Nearest(), -1.0, 2.0)
+
+
 def test_weak_transition_ties_take_first_sign():
     # |x| = |dx| with opposite signs: the carrier sign is sign(x)
     x = np.array([1.0, -2.0])

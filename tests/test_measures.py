@@ -159,6 +159,34 @@ def test_dirac_basics():
     assert law.sample(RngStream(0, 0)) == 2.0
 
 
+class _PairMax(Distribution):
+    """A user law given only by a two-uniform block map: the larger of two
+    uniforms, with no ppf."""
+
+    support = (0.0, 1.0)
+    _draws = 2
+
+    def _from_uniforms(self, u):
+        return np.maximum(u[:, 0], u[:, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_law_with_only_a_block_map_can_be_sampled(seed):
+    law, n = _PairMax(), 1000
+    got = law.sample(RngStream(seed, 0), n)
+    assert np.array_equal(got, law._from_uniforms(RngStream(seed, 0).random((n, 2))))
+    assert law.sample(RngStream(seed, 0)) == got[0]
+    assert ks_statistic(got, lambda x: np.clip(x, 0.0, 1.0) ** 2) <= _band(n)
+
+
+def test_a_law_without_a_sampler_names_both_hooks():
+    class Exponential(Distribution):
+        support = (0.0, np.inf)
+
+    with pytest.raises(ParameterError, match="neither a ppf nor a block sampler"):
+        Exponential().sample(RngStream(0, 0), 3)
+
+
 def test_pareto_ppf_cdf_roundtrip_edges():
     law = Pareto(2.0, scale=1.5)
     assert law.ppf(0.0) == 1.5
