@@ -504,6 +504,9 @@ DEFAULT_CONFIG = {
 _HORIZON = 5
 _ENVELOPE_R = 1.0
 _ENVELOPE_HORIZON = 200
+# The suites' own draws read stream ids counting down from 2^64 - 1, which no
+# walk path (ids below 2^63) or associated block (2^63 + b) reads.
+_OWN_STREAM = 2**64 - 1
 # The largest offset a suite adds to the config seed (chf's seed + 10 j + 5):
 # the walk seeds must stay in range too.
 _SEED_SPAN = 15
@@ -600,13 +603,13 @@ def run_chf_suite(config=None) -> VerificationReport:
                     detail=f"max standard error {np.max(se):.2e}",
                 )
             )
-        # the two-sample comparison needs draws independent of assoc,
-        # which shares per-block streams with seed + 10 j
+        # the two-sample comparison needs draws independent of assoc: a walk
+        # at another seed, and the mixing draw from the suite's own stream
         walk = simulate(
             WalkConfig("weak_kendall", alpha, symmetrized_atom(1.0), 5, m,
                        seed + 10 * j + 5)
         )
-        y = sample_mu_alpha(alpha, RngStream(seed + 10 * j, 999_983), m)
+        y = sample_mu_alpha(alpha, RngStream(seed + 10 * j, _OWN_STREAM), m)
         for n in (2, 5):
             stat = ks_two_sample(
                 assoc.partial_sums[:, n], walk.states[:, n] * y
@@ -727,7 +730,7 @@ def run_axioms_suite(config=None) -> VerificationReport:
     checks = []
     for k_idx, name in enumerate(CONVOLUTION_KINDS):
         for inst in range(5):
-            rng = RngStream(seed, 1000 * (k_idx + 1) + inst)
+            rng = RngStream(seed, _OWN_STREAM - 1 - 5 * k_idx - inst)
             alpha_draw = rng.random()
             if name == "weak_kendall":
                 alpha = 0.3 + 0.7 * alpha_draw

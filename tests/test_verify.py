@@ -347,9 +347,12 @@ _PINNED_REPORTS = {
 # quadrature and special functions feed the statistics) may need them
 # re-recorded.  "all" was re-recorded when scalar arguments became
 # one-element arrays: five moments.alpha_moment statistics moved by at most
-# 1e-13 against a threshold of 1e-8, and no verdict changed.
+# 1e-13 against a threshold of 1e-8, and no verdict changed.  It was
+# re-recorded again when the associated walk moved to stream ids 2^63 + b and
+# the chf and axioms suites' own draws to ids counting down from 2^64 - 1:
+# the chf and axioms statistics moved, and all 154 checks still pass.
 _REPORT_DIGESTS = {
-    "all": "5c9d2e41b1c7143361f8eb4791e77b87833ada53d312fab7da004fdd1505b6e8",
+    "all": "bf4f4c7cf0f4a04fd60a5e56f6c03644363c734c0e7b38651939016f0215871f",
     "envelope_h120": "1355bea92c6accf4e642bd8fcb21e80cbabf52ef232fc69e0ca3a71ce63001f3",
     "power_law": "40b3e3b8451728dd301dcc4207d84da2fb243badd5803909f79b4ebcf2172b5a",
     "declared": "6792f27ded3d694d18585b951af3e02ab2c68a09b4698ff8a7f68ec28c97b7fc",

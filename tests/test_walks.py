@@ -403,6 +403,17 @@ def test_simulate_associated_single_step_chf():
         assert abs(est - (1 - t)) < 5 * se + 1e-4
 
 
+def test_associated_walk_reads_no_stream_a_path_reads():
+    # path m reads stream (seed, m), associated block b (seed, 2^63 + b): at
+    # one config the two engines share no first step
+    cfg = WalkConfig("weak_kendall", 0.5, SymPareto(2.0), 3, 20, 4)
+    walk, assoc = simulate(cfg), simulate_associated(cfg)
+    assert walk.steps[0, 0] != assoc.steps[0, 0]
+    assert np.intersect1d(walk.steps, assoc.steps).size == 0
+    assert np.array_equal(assoc.steps.ravel(),
+                          SymPareto(2.0).sample(RngStream(4, 2**63), cfg.paths * cfg.horizon))
+
+
 def test_simulate_associated_requires_weak_kind():
     cfg = WalkConfig("kendall", 1.0, Dirac(1.0), 3, 10, 57)
     with pytest.raises(ParameterError):
