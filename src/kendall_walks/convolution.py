@@ -90,9 +90,11 @@ def _kendall_weight(alpha, a, b):
 def _kendall_kernel(alpha, a, b, atom, tail):
     """(1 - w) atom(v) + w tail(2 alpha, v) at (v, w) = ``_kendall_weight``.
 
-    ``a, b >= 0``; the law collapses to one part when w is 0 or 1.
+    ``a, b >= 0``; the law collapses to one part when w is 0 or 1.  At
+    a = b = inf, w is NaN and ``atom(inf)`` raises ParameterError.
     """
-    v, w = map(float, _kendall_weight(alpha, a, b))
+    with np.errstate(invalid="ignore"):
+        v, w = map(float, _kendall_weight(alpha, a, b))
     if w == 0.0:
         return atom(v)
     if w == 1.0:

@@ -203,6 +203,14 @@ def test_kernel_sample_rejects_a_kind_without_a_transition():
         kernel_sample(Foreign(), np.ones(2), np.ones(2), RngStream(14, 0))
 
 
+@pytest.mark.parametrize("kind", [Kendall(1.0), WeakKendall(0.5)])
+def test_kendall_kernel_at_an_infinite_point_raises_parameter_error(kind):
+    # no law puts an atom at inf; the switch weight inf/inf warns nothing
+    for a, b in ((np.inf, np.inf), (np.inf, 1.0), (1.0, np.inf)):
+        with pytest.raises(ParameterError, match="finite"):
+            kernel(kind, a, b)
+
+
 @pytest.mark.parametrize("real_line", [False, True])
 def test_a_kind_defining_only_its_kernel_gets_the_argument_check(real_line):
     # Convolution.kernel checks the arguments once for every kind
