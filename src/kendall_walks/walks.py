@@ -33,12 +33,11 @@ of more than one 16384-path chunk runs its chunks on up to
 fixed-size path block instead, because its multiplier sampler is
 rejection-based with a data-dependent draw count; blocks are tied to
 path indices, not workers, so the same reproducibility guarantee holds.
-Stream ids are disjoint at one seed: path m reads id m (below 2^63),
-associated block b id 2^63 + b, and :mod:`.verify`'s own draws count
-down from 2^64 - 1.
 The rejection sampler is kept because it is about 6 times faster than
 ``mu1_ppf`` (0.19 s against 1.1 s per 1e6 draws on a 2-vCPU x86-64
-machine).
+machine).  Stream ids are disjoint at one seed: path m reads id m
+(below 2^63), associated block b id 2^63 + b, and :mod:`.verify`'s own
+draws count down from 2^64 - 1.
 
 Memory is step-major: a chunk's uniform block holds each draw of all its
 paths in one contiguous column, and ``simulate``'s arrays are
