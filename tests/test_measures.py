@@ -179,14 +179,6 @@ def test_a_law_with_only_a_block_map_can_be_sampled(seed):
     assert ks_statistic(got, lambda x: np.clip(x, 0.0, 1.0) ** 2) <= _band(n)
 
 
-def test_a_law_without_a_sampler_names_both_hooks():
-    class Exponential(Distribution):
-        support = (0.0, np.inf)
-
-    with pytest.raises(ParameterError, match="neither a ppf nor a block sampler"):
-        Exponential().sample(RngStream(0, 0), 3)
-
-
 def test_pareto_ppf_cdf_roundtrip_edges():
     law = Pareto(2.0, scale=1.5)
     assert law.ppf(0.0) == 1.5

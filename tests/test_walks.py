@@ -277,6 +277,9 @@ def test_config_rejects_law_without_block_sampler():
 
     with pytest.raises(ParameterError):
         WalkConfig("kendall", 1.0, Exponential(), 3, 10, 0)
+    # nor sampled, and the message names both hooks
+    with pytest.raises(ParameterError, match="neither a ppf nor a block sampler"):
+        Exponential().sample(RngStream(0, 0), 3)
     mix = FiniteMixture(((0.5, Dirac(1.0)), (0.5, Exponential())))
     with pytest.raises(ParameterError):
         WalkConfig("kendall", 1.0, mix, 3, 10, 0)
