@@ -22,9 +22,11 @@ Flags are only parsed here; the library range-checks every value (a
 ``ParameterError``, exit status 2) before any computation starts, and
 identical invocations with identical seeds emit byte-identical files
 whatever the thread count.  One writer, ``_write_csv``, serves
-all three tables: it takes blocks of numpy columns and writes each value by
-``repr`` (ints in decimal, reals in shortest round-trip form); ``simulate``
-passes ``_CSV_BLOCK_PATHS`` paths per block, ``nstep`` and ``transform`` one.
+all three tables: it takes blocks of numpy columns and writes each value as
+its ``repr`` (ints in decimal, reals in shortest round-trip form), in slices
+of ``_CSV_SLICE_ROWS`` rows within which each distinct value of a column is
+formatted once; ``simulate`` passes ``_CSV_BLOCK_PATHS`` paths per block,
+``nstep`` and ``transform`` one.
 """
 
 from __future__ import annotations
@@ -56,9 +58,12 @@ from .walks import _MAX_BYTES, WalkConfig, simulate
 __all__ = ["parse_dist", "format_dist", "build_parser", "run", "main"]
 
 
-# paths per simulate CSV block; its values are held as Python objects
+# paths per simulate CSV block: the rows whose numpy columns are built at once
 _CSV_BLOCK_PATHS = 64
-# peak bytes per point of an nstep or transform table (measured: 170, 195)
+# rows per writer slice, the most whose value texts are held at once
+_CSV_SLICE_ROWS = 4096
+# peak bytes per point of an nstep or transform table, priced with headroom
+# (measured on 1e6-point grids: nstep 69-91, transform 59-82, by step law)
 _GRID_POINT_BYTES = 200
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -185,14 +190,29 @@ def _dist(text: str) -> Distribution:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _csv_texts(column: np.ndarray) -> np.ndarray:
+    # repr each distinct value once; floats are keyed by their bits, since
+    # float equality would merge 0.0 and -0.0, whose reprs differ
+    floats = column.dtype.kind == "f"
+    keys = column.view(f"i{column.itemsize}") if floats else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = distinct.view(column.dtype) if floats else distinct
+    return np.array(list(map(repr, values.tolist())), dtype=object)[inverse]
+
+
 def _write_csv(path: str, header, blocks):
     """Write ``header`` and one row per element of each block, a tuple of
-    equal-length numpy columns, every value by ``repr``."""
+    equal-length numpy columns, every value as its ``repr``.
+
+    Each block is written in slices of ``_CSV_SLICE_ROWS`` rows, within
+    which every distinct value of a column is formatted once."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            columns = [column.ravel().tolist() for column in block]
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+            columns = [column.ravel() for column in block]
+            for lo in range(0, columns[0].size, _CSV_SLICE_ROWS):
+                texts = [_csv_texts(column[lo:lo + _CSV_SLICE_ROWS]) for column in columns]
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _cmd_simulate(args) -> int:

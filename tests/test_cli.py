@@ -177,6 +177,61 @@ def test_csv_tables_are_pinned(tmp_path, key):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _reference_csv(header, blocks):
+    # one ``repr`` per value, row by row
+    lines = [",".join(header)]
+    for block in blocks:
+        columns = [column.ravel().tolist() for column in block]
+        lines.extend(",".join(map(repr, row)) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_row_repr(tmp_path):
+    rng = np.random.default_rng(5)
+    nan_payload = np.array([0x7FF8000000000001, -(2**63) + 0x7FF8000000000000],
+                           dtype=np.int64).view(float)
+    specials = np.concatenate((
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 9999999999999998.0, 1e-4],
+        nan_payload, rng.standard_normal(40),
+    ))
+    # a 2-D Fortran-order column, as simulate passes, longer than one slice
+    long = 5 * (cli._CSV_SLICE_ROWS // 4 + 50)
+    floats = np.asfortranarray(specials[rng.integers(0, specials.size, long)].reshape(-1, 5))
+    blocks = [
+        (floats, rng.integers(-(10**12), 10**12, long), rng.random(long) < 0.5),
+        (specials[:7], np.arange(7), np.ones(7, dtype=bool)),
+        (np.array([]), np.array([], dtype=int), np.array([], dtype=bool)),
+        (specials[::-3], np.arange(specials[::-3].size) - 4, specials[::-3] > 0),
+    ]
+    header = ("x", "n", "flag")
+    out = tmp_path / "table.csv"
+    cli._write_csv(str(out), header, blocks)
+    assert out.read_text() == _reference_csv(header, blocks)
+    # an empty block adds no bytes
+    cli._write_csv(str(out), header, blocks[2:3])
+    assert out.read_bytes() == b"x,n,flag\n"
+
+
+def test_weak_walk_csv_matches_ensemble(tmp_path):
+    # 300 paths are several writer blocks and a short last one; symmetric
+    # steps give states that change sign without changing modulus
+    spec = "mix:0.5*sympareto:3+0.5*uniform"
+    out = tmp_path / "walk.csv"
+    assert run(["simulate", "--conv", "weak-kendall", "--alpha", "0.5", "--step", spec,
+                "--n", "20", "--paths", "300", "--seed", "3", "--out", str(out)]) == 0
+    ens = walks.simulate(walks.WalkConfig("weak-kendall", 0.5, parse_dist(spec),
+                                          horizon=20, paths=300, seed=3))
+    states = ens.states
+    assert np.any((states[:, 1:] == -states[:, :-1]) & (states[:, 1:] != 0))
+    rows = [(p, n, states[p, n], 0 if n < 2 else int(ens.switches[p, n - 2]),
+             1.0 if n < 2 else ens.thetas[p, n - 2])
+            for p in range(300) for n in range(21)]
+    want = "path_id,n,x,q,theta\n" + "".join(
+        ",".join(map(repr, (p, n, float(x), q, float(theta)))) + "\n"
+        for p, n, x, q, theta in rows)
+    assert out.read_text() == want
+
+
 def test_nstep_table_values(tmp_path):
     out = tmp_path / "nstep.csv"
     assert run(["nstep", "--n", "2", "--grid", "2:4:3", "--out", str(out)]) == 0
