@@ -53,7 +53,7 @@ from .measures import (
     scale_law,
     symmetrized_atom,
 )
-from .walks import WalkConfig, WalkEnsemble, simulate, simulate_associated
+from .walks import WalkConfig, WalkEnsemble, _pool_map, simulate, simulate_associated
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -200,15 +200,26 @@ def ks_statistic(samples, cdf: Callable, atoms=()) -> float:
 
 
 def ks_two_sample(a, b) -> float:
-    """Two-sample KS distance (ties handled by right-continuous ECDFs)."""
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0 or np.isnan(a[-1]) or np.isnan(b[-1]):  # NaN sorts last
+    """Two-sample KS distance: the largest gap between the right-continuous
+    ECDFs at the pooled points.  A stable argsort merges the two sorted
+    samples; each sample's running count, read at the last of each run of
+    equal values (``-0.0`` equals ``0.0``), is what ``searchsorted(side="right")``
+    gives there, so the bits are those of evaluating both ECDFs by search."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    n_a, n_b = a.size, b.size
+    z = np.concatenate([a, b])
+    z[:n_a].sort()
+    z[n_a:].sort()
+    if n_a == 0 or n_b == 0 or np.isnan(z[n_a - 1]) or np.isnan(z[-1]):  # NaN sorts last
         raise ParameterError("ks_two_sample needs nonempty samples without NaN")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    order = np.argsort(z, kind="stable")  # Timsort merges the two sorted runs
+    z = z[order]
+    ends = np.append(z[1:] != z[:-1], True)
+    count_a = np.cumsum(order < n_a)[ends]
+    del z, order
+    count_b = np.flatnonzero(ends) + 1 - count_a
+    return float(np.max(np.abs(count_a / n_a - count_b / n_b)))
 
 
 def empirical_chf(samples, t_grid):
@@ -698,19 +709,23 @@ def _axiom_checks(kind: Convolution, inst: int, rng: RngStream, m: int, thr: flo
                detail=f"kernel({a:.3f}, {b:.3f}) structural equality")
     )
 
-    x12 = convolve_sample(kind, claw1, claw2, rng, m)
-    s1 = kernel_sample(kind, x12, claw3.sample(rng, m), rng)
-    x23 = convolve_sample(kind, claw2, claw3, rng, m)
-    s2 = kernel_sample(kind, claw1.sample(rng, m), x23, rng)
+    # up to worker_count() instances run at once: drop each sample once used
+    s1 = convolve_sample(kind, claw1, claw2, rng, m)
+    s1 = kernel_sample(kind, s1, claw3.sample(rng, m), rng)
+    s2 = convolve_sample(kind, claw2, claw3, rng, m)
+    s2 = kernel_sample(kind, claw1.sample(rng, m), s2, rng)
     checks.append(_check(f"{tag}_associativity", ks_two_sample(s1, s2), thr))
+    del s1, s2
 
     p = 0.2 + 0.6 * rng.random()
     mixed = FiniteMixture(((p, law1), (1.0 - p, law2)))
     s1 = convolve_sample(kind, mixed, law3, rng, m)
     d1 = convolve_sample(kind, law1, law3, rng, m)
-    d2 = convolve_sample(kind, law2, law3, rng, m)
-    s2 = np.where(rng.random(m) < p, d1, d2)
+    s2 = convolve_sample(kind, law2, law3, rng, m)
+    s2 = np.where(rng.random(m) < p, d1, s2)
+    del d1
     checks.append(_check(f"{tag}_convex_linearity", ks_two_sample(s1, s2), thr))
+    del s1, s2
 
     scale_c = 0.5 + 1.5 * rng.random()
     s1 = scale_c * convolve_sample(kind, claw1, claw2, rng, m)
@@ -723,21 +738,24 @@ def _axiom_checks(kind: Convolution, inst: int, rng: RngStream, m: int, thr: flo
 
 def run_axioms_suite(config=None) -> VerificationReport:
     """Commutativity (exact), associativity, convex-linearity, and scaling
-    homogeneity, sampled across random instances of every kind."""
+    homogeneity on random instances of every kind; each instance reads its
+    own stream, so the walk thread pool that runs them changes no byte."""
     cfg = _merged(config)
     seed, m = cfg["seed"], cfg["samples"]
     thr = 3.0 * KS_COEFF / math.sqrt(m)
-    checks = []
-    for k_idx, name in enumerate(CONVOLUTION_KINDS):
-        for inst in range(5):
-            rng = RngStream(seed, _OWN_STREAM - 1 - 5 * k_idx - inst)
-            alpha_draw = rng.random()
-            if name == "weak_kendall":
-                alpha = 0.3 + 0.7 * alpha_draw
-            else:
-                alpha = 0.5 + 1.5 * alpha_draw
-            kind = parse_convolution(name, alpha)
-            checks.extend(_axiom_checks(kind, inst, rng, m, thr))
+
+    def instance(item):
+        k_idx, name, inst = item
+        rng = RngStream(seed, _OWN_STREAM - 1 - 5 * k_idx - inst)
+        alpha_draw = rng.random()
+        if name == "weak_kendall":
+            alpha = 0.3 + 0.7 * alpha_draw
+        else:
+            alpha = 0.5 + 1.5 * alpha_draw
+        return _axiom_checks(parse_convolution(name, alpha), inst, rng, m, thr)
+
+    items = [(k, name, i) for k, name in enumerate(CONVOLUTION_KINDS) for i in range(5)]
+    checks = [c for part in _pool_map(instance, items) for c in part]
     return VerificationReport(
         suite="axioms",
         seed=seed,

@@ -29,7 +29,9 @@ for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (240) uniforms per path, a numpy
 Philox4x64-10 computed over arrays of paths (``_philox_rows``); for
 longer paths, one numpy ``Philox`` re-keyed per path in a loop.  A walk
 of more than one 16384-path chunk runs its chunks on up to
-``worker_count()`` threads.  The associated walk consumes streams per
+``worker_count()`` threads; that pool, ``_pool_map``, also runs
+:mod:`.verify`'s axiom instances, each in a copy of the caller's context
+(where numpy keeps ``errstate``).  The associated walk consumes streams per
 fixed-size path block instead, because its multiplier sampler is
 rejection-based with a data-dependent draw count; blocks are tied to
 path indices, not workers, so the same reproducibility guarantee holds.
@@ -49,6 +51,7 @@ order; ``ens[m]`` is a strided view, and code hashing raw buffers uses
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent import futures
 from dataclasses import dataclass
@@ -339,15 +342,21 @@ def _check_memory(paths: int, horizon: int, draws: int):
         )
 
 
-def _run_chunks(n_items: int, task):
-    ranges = [(lo, min(lo + _CHUNK, n_items)) for lo in range(0, n_items, _CHUNK)]
-    workers = min(worker_count(), len(ranges))
+def _pool_map(task, items) -> list:
+    """``[task(item) for item in items]``, run on up to ``worker_count()``
+    threads.  Each pooled call runs in a copy of the caller's context (numpy
+    keeps ``errstate`` there), and the first exception reaches the caller."""
+    items = list(items)
+    workers = min(worker_count(), len(items))
     if workers <= 1:
-        for lo, hi in ranges:
-            task(lo, hi)
-    else:
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: task(*r), ranges))
+        return [task(item) for item in items]
+    contexts = [contextvars.copy_context() for _ in items]
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda ctx, item: ctx.run(task, item), contexts, items))
+
+
+def _run_chunks(n_items: int, task):
+    _pool_map(lambda lo: task(lo, min(lo + _CHUNK, n_items)), range(0, n_items, _CHUNK))
 
 
 def simulate(config: WalkConfig) -> WalkEnsemble:

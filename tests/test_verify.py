@@ -29,6 +29,8 @@ from kendall_walks import (
     run_verification,
     simulate,
     symmetrized_atom,
+    verify,
+    walks,
 )
 from kendall_walks.verify import DEFAULT_CONFIG, KS_COEFF, SUITES, _merged, _prefixed
 
@@ -78,6 +80,38 @@ def test_ks_two_sample_null_and_alternative():
     assert ks_two_sample(a, b) <= 3 * KS_COEFF * np.sqrt(2.0 / n)
     c = Pareto(2.0, scale=1.2).sample(RngStream(6, 2), size=n)
     assert ks_two_sample(a, c) > 3 * KS_COEFF * np.sqrt(2.0 / n)
+
+
+def _ks_two_sample_by_search(a, b):
+    # reference: both right-continuous ECDFs evaluated at every pooled point
+    # by binary search
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def test_ks_two_sample_merge_matches_binary_search_bit_for_bit():
+    g = np.random.default_rng(20261020)
+    draws = (
+        lambda n: g.random(n),  # continuous
+        lambda n: np.floor(4.0 * g.random(n)),  # ties within and across samples
+        lambda n: g.choice([0.0, -0.0], n),  # atoms only, signed zeros
+        lambda n: g.choice([-0.0, 0.0, 1.0, 2.5], n),
+        lambda n: np.round(g.pareto(1.0, n), 1),  # rounded heavy tail
+        lambda n: g.choice([-np.inf, np.inf, 0.0, 1.0], n),
+        lambda n: np.where(g.random(n) < 0.5, g.random(n), np.inf),
+    )
+    cases = [(1, 1), (1, 7), (9, 1), (2, 3), (300, 17)]
+    cases += [tuple(g.integers(1, 200, 2)) for _ in range(40)]
+    for n_a, n_b in cases:
+        for draw_a in draws:
+            for draw_b in (draw_a, draws[1], draws[5]):
+                a, b = draw_a(n_a), draw_b(n_b)
+                for x, y in ((a, b), (b, a)):
+                    assert ks_two_sample(x, y).hex() == _ks_two_sample_by_search(x, y).hex()
 
 
 def test_ks_statistics_reject_nan_samples():
@@ -405,6 +439,39 @@ def test_run_verification_small_suites_pass():
     moments = run_verification("moments", {"samples": 4000, "paths": 4000})
     assert moments.passed
     assert any(c.name.startswith("alpha_moment") for c in moments.checks)
+
+
+def test_axioms_suite_independent_of_workers(monkeypatch):
+    # each instance reads its own stream, so the pool size changes no byte
+    texts = []
+    for threads in (1, 3):
+        monkeypatch.setattr(walks, "worker_count", lambda: threads)
+        texts.append(run_verification("axioms", {"samples": 3000}).to_json())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["passed"]
+
+
+def test_axioms_suite_pool_passes_errors_and_errstate(monkeypatch):
+    monkeypatch.setattr(walks, "worker_count", lambda: 3)
+    axiom_checks = verify._axiom_checks
+
+    def failing(kind, inst, *args):
+        if kind.name == "max" and inst == 3:
+            raise ValueError(f"instance {kind.name}_{inst}")
+        return axiom_checks(kind, inst, *args)
+
+    monkeypatch.setattr(verify, "_axiom_checks", failing)
+    with pytest.raises(ValueError, match="instance max_3"):
+        run_verification("axioms", {"samples": 200})
+
+    # a pooled instance sees the caller's np.errstate, as a walk chunk does
+    def overflowing(kind, inst, *args):
+        np.multiply(np.array([1e308]), 10.0)
+        return axiom_checks(kind, inst, *args)
+
+    monkeypatch.setattr(verify, "_axiom_checks", overflowing)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        run_verification("axioms", {"samples": 200})
 
 
 def test_run_verification_all_prefixes_names():

@@ -305,6 +305,17 @@ def test_worker_count_does_not_change_results(monkeypatch):
     assert np.array_equal(a.switches, b.switches)
 
 
+def test_pool_threads_keep_the_callers_errstate(monkeypatch):
+    # numpy keeps errstate in a context variable, which a new thread does not
+    # inherit: each pooled chunk runs in a copy of the caller's context.  At
+    # alpha 0.01, 251 of 20000 paths overflow within 200 steps.
+    monkeypatch.setattr(walks, "worker_count", lambda: 2)
+    for paths in (1000, 20000):  # one chunk, then two on the pool
+        cfg = WalkConfig("kendall", 0.01, Dirac(1.0), 200, paths, 3)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            simulate(cfg)
+
+
 def test_path_view_and_reconstruction():
     cfg = WalkConfig("kendall", 0.5, Pareto(2.0), 6, 200, 29)
     ens = simulate(cfg)
