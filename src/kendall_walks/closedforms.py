@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+import scipy
 
 from .errors import ParameterError
 from .measures import _check_int, _check_positive, _check_real, _pointwise
@@ -102,13 +102,13 @@ def nstep_beta_cdf(n: int, alpha: float, a: float, b: float, x):
     _check_positive("b", b)
     clipped = np.clip(x, 0.0, 1.0)
     coeff = math.exp(
-        special.gammaln(a + alpha)
-        + special.gammaln(a + b)
-        - special.gammaln(a)
-        - special.gammaln(a + b + alpha)
+        scipy.special.gammaln(a + alpha)
+        + scipy.special.gammaln(a + b)
+        - scipy.special.gammaln(a)
+        - scipy.special.gammaln(a + b + alpha)
     )
-    cdf_vals = special.betainc(a, b, clipped)
-    moment_vals = coeff * special.betainc(a + alpha, b, clipped)
+    cdf_vals = scipy.special.betainc(a, b, clipped)
+    moment_vals = coeff * scipy.special.betainc(a + alpha, b, clipped)
     return _nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, x)
 
 
@@ -120,11 +120,11 @@ def nstep_gamma_cdf(n: int, alpha: float, a: float, b: float, x):
     _check_positive("a", a)
     _check_positive("b", b)
     pos = np.maximum(x, 0.0)
-    coeff = math.exp(special.gammaln(a + alpha) - special.gammaln(a)) / b**alpha
+    coeff = math.exp(scipy.special.gammaln(a + alpha) - scipy.special.gammaln(a)) / b**alpha
     with np.errstate(over="ignore"):  # gammainc(., inf) is 1
         bx = b * pos
-    cdf_vals = special.gammainc(a, bx)
-    moment_vals = coeff * special.gammainc(a + alpha, bx)
+    cdf_vals = scipy.special.gammainc(a, bx)
+    moment_vals = coeff * scipy.special.gammainc(a + alpha, bx)
     return _nstep_from_parts(cdf_vals, moment_vals, a, alpha, n, x)
 
 
@@ -138,14 +138,14 @@ def _beta3_expect(k: int, w: float, lo: float) -> float:
     """E[(1 + w Y)^(-2); Y >= lo] with Y ~ Beta(3, k-1), w >= 0: the one
     integral of both increment laws (``joint_density`` integrated over v
     in closed form, with Y = 1/u)."""
-    lnorm = special.betaln(3.0, k - 1.0)
+    lnorm = scipy.special.betaln(3.0, k - 1.0)
 
     def integrand(y):
         return (1.0 + w * y) ** -2 * math.exp(
             2.0 * math.log(y) + (k - 2.0) * math.log1p(-y) - lnorm
         )
 
-    val, _ = integrate.quad(integrand, lo, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
+    val, _ = scipy.integrate.quad(integrand, lo, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
     return val
 
 
@@ -203,10 +203,10 @@ def increment_joint_prob(k: int, w: float, z: float) -> float:
     if w < 0 or z < 1:
         return 0.0
     lo = 1.0 / z
-    stay = (k - 1.0) / (k + 1.0) * (1.0 - special.betainc(2.0, k, lo))
+    stay = (k - 1.0) / (k + 1.0) * (1.0 - scipy.special.betainc(2.0, k, lo))
     # P(Y >= lo) - E, not E[1 - (1 + w Y)^(-2)], stays accurate at large w;
     # P(Y >= lo) is read off the Beta(k-1, 3) law of 1 - Y (betaincc needs SciPy 1.11)
-    tail = special.betainc(k - 1.0, 3.0, 1.0 - lo)
+    tail = scipy.special.betainc(k - 1.0, 3.0, 1.0 - lo)
     return float(stay + 2.0 / (k + 1.0) * (tail - _beta3_expect(k, w, lo)))
 
 
@@ -289,7 +289,7 @@ def mu1_nfold_pdf(n: int, x):
 def mu1_nfold_pdf_quadrature(n: int, x: float) -> float:
     """Independent oracle: (1/pi) int_0^1 cos(t x) (1 - t)^n dt."""
     n = _check_int("n", n, 1)
-    val, _ = integrate.quad(
+    val, _ = scipy.integrate.quad(
         lambda t: math.cos(t * x) * (1.0 - t) ** n, 0.0, 1.0,
         epsabs=1e-13, epsrel=1e-13, limit=max(200, int(abs(x) / 2) + 50),
     )

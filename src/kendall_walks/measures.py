@@ -34,7 +34,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+import scipy
 
 from .errors import ParameterError, SupportError
 
@@ -381,13 +381,13 @@ class Beta(Distribution):
         return (0.0, 1.0)
 
     def ppf(self, u):
-        return special.betaincinv(self.a, self.b, u)
+        return scipy.special.betaincinv(self.a, self.b, u)
 
     def _sample(self, rng, n):
         return rng.beta(self.a, self.b, n)
 
     def cdf(self, x):
-        return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
+        return scipy.special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
 
     def pdf(self, x):
         inside = (x > 0) & (x < 1)
@@ -395,7 +395,7 @@ class Beta(Distribution):
         logpdf = (
             (self.a - 1.0) * np.log(z)
             + (self.b - 1.0) * np.log1p(-z)
-            - special.betaln(self.a, self.b)
+            - scipy.special.betaln(self.a, self.b)
         )
         return np.where(inside, np.exp(logpdf), 0.0)
 
@@ -408,10 +408,10 @@ class Beta(Distribution):
         small = x < 1e-3
         z, big = np.where(small, np.maximum(x, 0.0), 0.0), np.where(small, 1.0, x)
         series = self.cdf(z) * a / (a + alpha) * (
-            special.hyp2f1(a + b + alpha, 1.0, a + alpha + 1.0, z)
-            / special.hyp2f1(a + b, 1.0, a + 1.0, z))
-        incomplete = (big**-alpha * special.poch(a, alpha) / special.poch(a + b, alpha)
-                      * special.betainc(a + alpha, b, np.minimum(big, 1.0)))
+            scipy.special.hyp2f1(a + b + alpha, 1.0, a + alpha + 1.0, z)
+            / scipy.special.hyp2f1(a + b, 1.0, a + 1.0, z))
+        incomplete = (big**-alpha * scipy.special.poch(a, alpha) / scipy.special.poch(a + b, alpha)
+                      * scipy.special.betainc(a + alpha, b, np.minimum(big, 1.0)))
         return np.where(small, series, incomplete)
 
 
@@ -431,7 +431,7 @@ class Gamma(Distribution):
         return (0.0, math.inf)
 
     def ppf(self, u):
-        return special.gammaincinv(self.shape, u) / self.rate
+        return scipy.special.gammaincinv(self.shape, u) / self.rate
 
     def _sample(self, rng, n):
         return rng.gamma(self.shape, 1.0 / self.rate, n)
@@ -439,7 +439,7 @@ class Gamma(Distribution):
     # rate * x may overflow to inf, where gammainc(a, inf) is 1 and exp(-inf) 0
     def cdf(self, x):
         with np.errstate(over="ignore"):
-            return special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
+            return scipy.special.gammainc(self.shape, self.rate * np.maximum(x, 0.0))
 
     def pdf(self, x):
         pos = (x > 0) & (x < math.inf)
@@ -449,7 +449,7 @@ class Gamma(Distribution):
                 self.shape * math.log(self.rate)
                 + (self.shape - 1.0) * np.log(z)
                 - self.rate * z
-                - special.gammaln(self.shape)
+                - scipy.special.gammaln(self.shape)
             )
         return np.where(pos, np.exp(logpdf), 0.0)
 
@@ -462,11 +462,11 @@ class Gamma(Distribution):
             z = self.rate * np.maximum(x, 0.0)
         small = z < 1e-3
         zs, big = np.where(small, z, 0.0), np.where(small, 1.0, z)
-        series = special.gammainc(a, zs) * a / (a + alpha) * (
-            special.hyp1f1(1.0, a + alpha + 1.0, zs) / special.hyp1f1(1.0, a + 1.0, zs))
+        series = scipy.special.gammainc(a, zs) * a / (a + alpha) * (scipy.special.hyp1f1(
+            1.0, a + alpha + 1.0, zs) / scipy.special.hyp1f1(1.0, a + 1.0, zs))
         power = np.where(big < np.inf, big**-alpha,
                          self.rate**-alpha * np.maximum(x, 1.0) ** -alpha)
-        incomplete = special.poch(a, alpha) * power * special.gammainc(a + alpha, big)
+        incomplete = scipy.special.poch(a, alpha) * power * scipy.special.gammainc(a + alpha, big)
         return np.where(small, series, incomplete)
 
 
@@ -514,7 +514,7 @@ def mu1_cdf(x):
     """
     regular = np.isfinite(x) & (x != 0.0)
     z = np.where(regular, x, 1.0)
-    si, _ = special.sici(z)
+    si, _ = scipy.special.sici(z)
     out = np.where(regular, 0.5 + (si - 2.0 * np.sin(0.5 * z) ** 2 / z) / np.pi,
                    0.5 + 0.5 * np.sign(x))
     return np.clip(out, 0.0, 1.0)
@@ -647,11 +647,11 @@ class MuAlpha(Distribution):
         def one(v):
             if v == 0.0 or math.isinf(v):
                 return 0.5 + 0.5 * np.sign(v)
-            j, _ = integrate.quad(
+            j, _ = scipy.integrate.quad(
                 lambda t: t ** (a - 1.0) if t > 0.0 else 0.0, 0.0, 1.0,
                 weight="sin", wvar=v, epsabs=1e-12, limit=400,
             )
-            return 0.5 + (special.sici(v)[0] - j) / np.pi
+            return 0.5 + (scipy.special.sici(v)[0] - j) / np.pi
 
         return np.clip(np.vectorize(one)(x), 0.0, 1.0)
 
@@ -664,7 +664,7 @@ class MuAlpha(Distribution):
         def one(v):
             if math.isinf(v):
                 return 0.0
-            k, _ = integrate.quad(
+            k, _ = scipy.integrate.quad(
                 lambda t: t**a, 0.0, 1.0,
                 weight="cos", wvar=v, epsabs=1e-13, limit=400,
             )

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+import scipy
 
 from . import closedforms
 from .convolution import (
@@ -351,10 +351,10 @@ def _binomial_gate(p: float, m: int, exact: bool) -> float:
     """
     p = min(max(p, 0.0), 1.0)
     q = _FALSE_ALARM / 2 if exact else _FALSE_ALARM
-    hi = _least_count(m, lambda k: special.bdtrc(k, m, p) <= q)
+    hi = _least_count(m, lambda k: scipy.special.bdtrc(k, m, p) <= q)
     if not exact:
         return hi / m
-    lo = _least_count(m, lambda k: special.bdtr(k, m, p) >= q)
+    lo = _least_count(m, lambda k: scipy.special.bdtr(k, m, p) >= q)
     return max(p - lo / m, hi / m - p)
 
 
@@ -448,7 +448,7 @@ _UNIT_ATOM_SETS = (
 def _alpha_moment_quad(n: int, alpha: float) -> float:
     if n == 1:
         return 1.0
-    val, _ = integrate.quad(
+    val, _ = scipy.integrate.quad(
         lambda x: x**alpha * closedforms.nstep_delta1_pdf(n, alpha, x),
         1.0,
         np.inf,

@@ -110,7 +110,8 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Thread cap for the chunks of one walk: the CPU count, at most 8."""
+    """Thread cap of ``_pool_map``, which runs the chunks of one walk and
+    :mod:`.verify`'s axiom instances: the CPU count, at most 8."""
     return min(os.cpu_count() or 1, 8)
 
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +333,37 @@ def test_help_exits_zero(capsys):
     assert "simulate" in capsys.readouterr().out
     assert run(["simulate", "--help"]) == 0
     capsys.readouterr()
+
+
+# Run in a fresh interpreter, since every test module has loaded scipy by now:
+# the package, the CLI and the quantile-only walks leave scipy's special and
+# integrate unloaded, so a command that needs neither starts in a fraction of
+# the time.  The last line printed lists those that did load.
+_LEAN_START_UP = """
+import sys
+from kendall_walks import cli
+out = ["--out", sys.argv[1]]
+for argv in (
+    ["--help"],
+    ["simulate", "--paths", "100"] + out,
+    ["simulate", "--conv", "weak-kendall", "--alpha", "0.5",
+     "--step", "mix:0.5*sympareto:3+0.5*uniform", "--n", "100", "--paths", "300"] + out,
+    ["nstep", "--grid", "1:20:200"] + out,
+    ["transform", "--step", "uniform", "--grid", "0.05:3:100"] + out,
+):
+    assert cli.run(argv) == 0, argv
+print([m for m in ("scipy.special", "scipy.integrate") if m in sys.modules])
+"""
+
+
+def test_start_up_loads_neither_scipy_special_nor_integrate(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _LEAN_START_UP, str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_nstep_mixture_step_matches_library(tmp_path):

@@ -1,7 +1,11 @@
 """Path simulation: engines, streams, layout, worker invariance."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +521,33 @@ def test_associated_walk_independent_of_workers(monkeypatch):
     b = simulate_associated(cfg)
     for name in ("steps", "multipliers", "partial_sums"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+_FIRST_USE_CONFIG = WalkConfig(
+    "kendall", 0.7, FiniteMixture(((0.5, Gamma(2.0, 1.5)), (0.5, Beta(2.0, 3.0)))), 3, 40000, 5)
+_FIRST_USE = f"""
+import hashlib, sys
+import numpy as np
+from kendall_walks import Beta, FiniteMixture, Gamma, WalkConfig, simulate, walks
+walks.worker_count = lambda: 3
+cfg = {_FIRST_USE_CONFIG!r}
+assert "scipy.special" not in sys.modules
+print(hashlib.sha256(np.ascontiguousarray(simulate(cfg).states).tobytes()).hexdigest())
+"""
+
+
+def test_first_scipy_use_on_pool_threads_matches_a_loaded_scipy():
+    # scipy loads its special functions on first use: in a fresh interpreter
+    # the three chunks of this walk make that first use on three pool threads
+    # at once, and must read the module only once it is whole
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _FIRST_USE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    states = np.ascontiguousarray(simulate(_FIRST_USE_CONFIG).states)
+    assert proc.stdout.splitlines()[-1] == hashlib.sha256(states.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("horizon", [5, 55])
