@@ -1,8 +1,10 @@
 """Statistical verification harness.
 
 Atom-aware Kolmogorov-Smirnov distances, empirical cosine transforms,
-moment-identity gates, finite-horizon envelope checks, and a randomized
-axiom suite covering every convolution kind.  Suite runners return a
+truncated alpha-moment gates on simulated walks, finite-horizon envelope
+checks, and a randomized axiom suite covering every convolution kind.
+Every gate reads simulated values; none needs a quadrature, and scipy's
+special functions give the binomial thresholds.  Suite runners return a
 :class:`VerificationReport` whose verdicts are derivable from the
 recorded statistics and thresholds alone, and which is bit-for-bit
 reproducible from its seed: all statistics reduce over paths with
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from . import closedforms
+from . import closedforms, williamson
 from .convolution import (
     _KINDS,
     Convolution,
@@ -323,8 +325,20 @@ class PowerLawEnvelope:
         return [], viol, per_n_prob, rate_js
 
 
-# Per-check false-alarm level of the violation-rate gates: on correct code
-# each one fails with at most this probability.
+# Per-check false-alarm level of the binomial gates.  For the envelope
+# violation rates (counts of paths) it is a bound: on correct code each one
+# fails with at most this probability.  For the truncated alpha-moments it is
+# an approximation, not a bound: their [0, 1]-valued summands have variance at
+# most p (1 - p), that of the binomial, so the band is at least as wide as a
+# normal band on their own variance, but the binomial tail bounds their tail
+# only asymptotically.  The other gates, at asymptotic Kolmogorov levels for a
+# continuous law (atoms make them conservative): a one-sample KS at
+# 3 KS_COEFF / sqrt(m) is at about 3.4e-21 per check, a two-sample KS at
+# 3 KS_COEFF / sqrt(m) with m draws a side (axioms) at 8.2e-11, and one at
+# 3 KS_COEFF sqrt(2 / m) or more (chf) at 3.4e-21.  The chf cosine gate, at
+# least 4 / sqrt(m), is 4 standard errors or more at each of its 10 points (a
+# cosine has variance at most 1): about 6.3e-4 per check in the normal
+# approximation, and at most 6.7e-3 by Hoeffding's inequality.
 _FALSE_ALARM = 1e-6
 
 
@@ -439,67 +453,41 @@ def envelope_check(ensemble: WalkEnsemble, spec) -> VerificationReport:
     )
 
 
-_UNIT_ATOM_SETS = (
-    ((1.0, 1.0),),
-    ((-1.0, 0.5), (1.0, 0.5)),
-)
-
-
-def _alpha_moment_quad(n: int, alpha: float) -> float:
-    if n == 1:
-        return 1.0
-    val, _ = scipy.integrate.quad(
-        lambda x: x**alpha * closedforms.nstep_delta1_pdf(n, alpha, x),
-        1.0,
-        np.inf,
-        epsabs=1e-11,
-        epsrel=1e-11,
-        limit=500,
-    )
-    return val
-
-
-# Tolerance of every alpha-moment gate: |quadrature moment - n| <= _MOMENT_TOL.
-_MOMENT_TOL = 1e-8
+# Truncation points x of the alpha-moment gates.
+_MOMENT_XS = (1.5, 4.0, 20.0)
 
 
 def moment_check(ensemble: WalkEnsemble, ns=None) -> VerificationReport:
-    """Gate: the quadrature alpha-moment of the n-step closed-form density
-    equals n within ``_MOMENT_TOL``.  The Monte Carlo moment of the
-    supplied paths is reported as a trimmed-mean diagnostic only: the 2
-    alpha-moment diverges logarithmically, so the plain MC estimator has
-    infinite variance and is not a pass/fail gate.
+    """Gate the truncated alpha-moment of the simulated |X_n| against its law.
 
-    Requires a unit-atom step law (delta_1, or its symmetrization for
-    the weak walk).
+    For a step law nu on [0, inf) the n-step law is F_n = Phi^n +
+    n Phi^(n-1) G (Williamson transform), so G_n(x) = E[(|X_n|/x)^alpha;
+    |X_n| <= x] = n Phi(1/x)^(n-1) G(x) exactly, at every alpha; the weak
+    walk's |X_n| follows it with the law of |step|.  At each n in ``ns``
+    (default 1..min(horizon, 20)) and x in ``_MOMENT_XS`` the path mean of
+    that [0, 1]-valued variable is gated two-sided by ``_binomial_gate``.
     """
     cfg = ensemble.config
-    atoms = tuple(sorted(cfg.unit_step.atoms()))
-    if atoms not in _UNIT_ATOM_SETS:
-        raise ParameterError(
-            "the alpha-moment identity holds for unit-atom step laws; "
-            f"got step atoms {atoms!r}"
-        )
-    alpha = cfg.alpha
-    if ns is None:
-        ns = range(1, min(cfg.horizon, 20) + 1)
+    law = cfg.unit_step.abs_law()
+    alpha, m = cfg.alpha, len(ensemble)
+    ns = range(1, min(cfg.horizon, 20) + 1) if ns is None else ns
+    ns = [_check_int("n", n, 1) for n in ns]
+    if any(n > cfg.horizon for n in ns):
+        raise ParameterError(f"moment_check needs n in [1, {cfg.horizon}], got {ns!r}")
     checks = []
     for n in ns:
-        n = int(n)
-        quad_val = _alpha_moment_quad(n, alpha)
-        detail = ""
-        if n <= cfg.horizon:
-            powers = np.sort(np.abs(ensemble.states[:, n])) ** alpha
-            trimmed = float(powers[: powers.size - powers.size // 100].mean())
-            detail = (
-                f"MC trimmed mean {trimmed:.4f} (top 1% removed; "
-                "infinite-variance estimator, diagnostic only)"
-            )
-        checks.append(_check(f"alpha_moment_n{n}", abs(quad_val - n), _MOMENT_TOL, detail))
+        s = np.abs(ensemble.states[:, n])
+        for x in _MOMENT_XS:
+            mean = float(np.mean(np.where(s <= x, (s / x) ** alpha, 0.0)))
+            g_n = (n * williamson.phi(law, alpha, 1.0 / x) ** (n - 1)
+                   * law.scaled_alpha_moment(x, alpha))
+            checks.append(_check(f"alpha_moment_n{n}_x{x:g}", abs(mean - g_n),
+                                 _binomial_gate(g_n, m, exact=True),
+                                 detail=f"empirical {mean:.6f} vs exact {g_n:.6f} at {m} paths"))
     return VerificationReport(
         suite="moments",
         seed=cfg.seed,
-        sample_sizes={"paths": len(ensemble), "horizon": cfg.horizon},
+        sample_sizes={"paths": m, "horizon": cfg.horizon},
         checks=tuple(checks),
     )
 
@@ -568,24 +556,25 @@ def run_ks_suite(config=None) -> VerificationReport:
 
 
 def run_moments_suite(config=None) -> VerificationReport:
-    """Moment-identity gates at alpha in {0.5, 1, 2} plus MC diagnostics."""
+    """Truncated alpha-moment gates at n in {2, 5} on three walks: Kendall
+    unit-atom steps at alpha 0.3 and 1.5, weak Kendall at 0.5."""
     cfg = _merged(config)
-    seed = cfg["seed"]
-    ens = simulate(
-        WalkConfig("kendall", 1.0, Dirac(1.0), _HORIZON, cfg["paths"], seed)
+    seed, m = cfg["seed"], cfg["paths"]
+    # (kind, alpha, step law); the case index is the seed offset
+    cases = (
+        ("kendall", 0.3, Dirac(1.0)),
+        ("kendall", 1.5, Dirac(1.0)),
+        ("weak_kendall", 0.5, symmetrized_atom(1.0)),
     )
-    base = moment_check(ens, ns=range(1, 21))
-    extra = tuple(
-        _check(f"alpha_moment_a{alpha}_n{n}", abs(_alpha_moment_quad(n, alpha) - n),
-               _MOMENT_TOL)
-        for alpha in (0.5, 2.0)
-        for n in (2, 5, 10, 20)
-    )
+    checks = []
+    for offset, (kind, alpha, step) in enumerate(cases):
+        ens = simulate(WalkConfig(kind, alpha, step, _HORIZON, m, seed + offset))
+        checks.extend(_prefixed(f"{kind}_a{alpha}_", moment_check(ens, ns=(2, _HORIZON)).checks))
     return VerificationReport(
         suite="moments",
         seed=seed,
-        sample_sizes={"paths": cfg["paths"], "horizon": _HORIZON},
-        checks=base.checks + extra,
+        sample_sizes={"paths": m, "horizon": _HORIZON},
+        checks=tuple(checks),
     )
 
 

@@ -40,11 +40,12 @@ from kendall_walks.closedforms import (
     increment_joint_prob,
     mu1_nfold_pdf,
     nstep_delta1_cdf,
+    nstep_delta1_pdf,
     nstep_uniform_cdf,
     transience_partial_sum,
     transience_sum,
 )
-from kendall_walks.verify import KS_COEFF, _alpha_moment_quad
+from kendall_walks.verify import KS_COEFF
 
 
 def test_criterion_01_exact_law_reproduction():
@@ -178,6 +179,17 @@ def test_criterion_09_oracle_gates():
             assert abs(mu1_nfold_pdf(n, x) - direct / np.pi) <= 1e-9
     for k, w in ((2, 0.5), (2, 1.0), (3, 1.0), (3, 2.0)):
         assert abs(increment_joint_prob(k, w, 1e9) - increment_cdf(k, w)) <= 1e-6
+
+
+def _alpha_moment_quad(n, alpha):
+    """E X_n^alpha of the unit-atom walk, by quadrature of its n-step density."""
+    if n == 1:
+        return 1.0
+    val, _ = integrate.quad(
+        lambda x: x**alpha * nstep_delta1_pdf(n, alpha, x),
+        1.0, np.inf, epsabs=1e-11, epsrel=1e-11, limit=500,
+    )
+    return val
 
 
 def test_criterion_10_moment_identity():

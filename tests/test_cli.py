@@ -356,14 +356,33 @@ print([m for m in ("scipy.special", "scipy.integrate") if m in sys.modules])
 """
 
 
-def test_start_up_loads_neither_scipy_special_nor_integrate(tmp_path):
+def _last_line_in_fresh_interpreter(code, *argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _LEAN_START_UP, str(tmp_path / "out.csv")],
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_start_up_loads_neither_scipy_special_nor_integrate(tmp_path):
+    assert _last_line_in_fresh_interpreter(_LEAN_START_UP, str(tmp_path / "out.csv")) == "[]"
+
+
+# Every verify suite reads only closed forms and scipy's special functions, so
+# a whole verification run leaves scipy's integrate unloaded.
+_LEAN_VERIFY = """
+import sys
+from kendall_walks import run_verification
+report = run_verification("all", {"samples": 2000, "paths": 2000, "envelope_paths": 500})
+assert report.passed
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_verification_loads_no_scipy_integrate():
+    assert _last_line_in_fresh_interpreter(_LEAN_VERIFY) == "False"
 
 
 def test_nstep_mixture_step_matches_library(tmp_path):
