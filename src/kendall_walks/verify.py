@@ -232,8 +232,8 @@ def empirical_chf(samples, t_grid):
     """
     x = np.asarray(samples, dtype=float).ravel()
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if x.size == 0 or np.isnan(x).any() or np.isnan(t).any():
-        raise ParameterError("empirical_chf needs at least one sample, and no NaN sample or t")
+    if x.size == 0 or not np.isfinite(x).all() or not np.isfinite(t).all():
+        raise ParameterError("empirical_chf needs at least one sample, and finite samples and t")
     est = np.empty(t.size)
     se = np.empty(t.size)
     for j, tj in enumerate(t):

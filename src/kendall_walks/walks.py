@@ -25,9 +25,10 @@ every transition so the per-path draw count is constant; ``simulate``
 works it out once, for the memory guard and for every chunk.  This makes
 the output independent of chunking and worker count, bit for bit.  Two
 generators produce these streams with the same bits as ``RngStream``:
-for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (240) uniforms per path, a numpy
-Philox4x64-10 computed over arrays of paths (``_philox_rows``); for
-longer paths, one numpy ``Philox`` re-keyed per path in a loop.  A walk
+for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (240) uniforms per path,
+Philox4x64-10 in Random123's round order computed in numpy over arrays
+of paths (``_philox_rows``); for longer paths, one numpy ``Philox``
+re-keyed per path in a loop.  A walk
 of more than one 16384-path chunk runs its chunks on up to
 ``worker_count()`` threads; that pool, ``_pool_map``, also runs
 :mod:`.verify`'s axiom instances, each in a copy of the caller's context
@@ -86,14 +87,14 @@ _TILE = 64  # paths the re-keying loop draws per copy into the block
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# Draws per path up to which _philox_rows beats re-keying one Philox per
-# path, both writing the draws-major block.  The array generator costs about
-# 41 ns per uniform; the loop about 5.2 us per path plus 18 ns per uniform
-# (its tile copy included), so the two meet near 5.2 us / 23 ns.  Measured
-# on 16384-path chunks (2-vCPU x86-64, numpy 2.4, medians of 11): equal
-# near 240 draws with one worker; with two the loop also contends for the
-# interpreter lock and equality moves to about 290 draws.  No workload sits
-# between 160 and 290 draws.
+# Draws per path up to which _philox_rows runs instead of re-keying one
+# Philox per path, both writing the draws-major block.  The array generator
+# costs about 29 ns per uniform; the loop about 1.9 us per path plus 9.5 ns
+# per uniform (its tile copy included), so with one worker the two meet near
+# 1.9 us / 20 ns, about 100 draws.  With two workers on two chunks the loop
+# also contends for the interpreter lock and equality moves to about 220
+# draws.  Measured on 16384-path chunks (2-vCPU x86-64, numpy 2.4, medians
+# of 7).  No workload sits between 19 and 496 draws.
 _ARRAY_PHILOX_MAX_DRAWS = 240
 _MAX_BYTES = 8_000_000_000
 _ASSOCIATED_STREAMS = 1 << 63  # block b of simulate_associated reads id 2^63 + b
@@ -232,45 +233,38 @@ def _philox_rows(seed: int, lo: int, out: np.ndarray):
     """Fill row m - lo of ``out`` with the first uniforms of stream (seed, m).
 
     Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as
-    1, 2, 3", SC'11) over arrays of paths, as numpy's ``Philox`` computes
-    it: key ``(m, seed mod 2^64)`` (see ``philox_key``), block b under
-    counter ``(b + 1, 0, 0, 0)`` yields the stream's uniforms 4b..4b+3 as
-    ``(word >> 11) * 2^-53``, written column by column.  Round 1 turns the
-    counter into ``(m, 0, s2, s3)`` with scalars s2, s3, so round 2's
-    product of m is the same for every block and is formed once; rounds
-    3 to 10 run on whole arrays.
+    1, 2, 3", SC'11) over arrays of paths, in Random123's round order, as
+    numpy's ``Philox`` computes it: key ``(m, seed mod 2^64)`` (see
+    ``philox_key``), block b under counter ``(b + 1, 0, 0, 0)`` yields the
+    stream's uniforms 4b..4b+3 as ``(word >> 11) * 2^-53``, written column
+    by column.  Round 1 sees only the counter and the key, so it is written
+    in closed form, ``(m, 0, hi(M0 (b + 1)) ^ seed, lo(M0 (b + 1)))``;
+    rounds 2 to 10 bump the key and run the round on whole arrays.
     """
     n, draws = out.shape
-    if not out.size:
-        return
     m0, m1 = _PHILOX_M
     w0, w1 = _PHILOX_W
-    k1 = [(int(seed) + r * w1) & _U64 for r in range(_PHILOX_ROUNDS)]
-    c0, c1, c2, c3, spare, x, t, u = (np.empty(n, dtype=np.uint64) for _ in range(8))
-    key = np.arange(lo, lo + n, dtype=np.uint64)
-    low = key.copy()
-    high = np.empty(n, dtype=np.uint64)
-    _mulhilo(low, m0, high, x, t, u)
-    np.add(key, np.uint64(w0), out=key)
-    rewind = np.uint64((-(_PHILOX_ROUNDS - 2) * w0) & _U64)
+    seed = int(seed) & _U64
+    m = np.arange(lo, lo + n, dtype=np.uint64)
+    c0, c1, c2, c3, key, hi, x, t, u = (np.empty(n, dtype=np.uint64) for _ in range(9))
     for b in range(-(-draws // 4)):
-        p0 = (b + 1) * m0
-        s2 = (p0 >> 64) ^ k1[0]
-        p1 = s2 * m1
-        np.bitwise_xor(key, np.uint64(p1 >> 64), out=c0)
-        c1.fill(p1 & _U64)
-        np.bitwise_xor(high, np.uint64((p0 & _U64) ^ k1[1]), out=c2)
-        np.copyto(c3, low)
-        for r in range(2, _PHILOX_ROUNDS):
+        p = (b + 1) * m0
+        np.copyto(c0, m)
+        c1.fill(0)
+        c2.fill((p >> 64) ^ seed)
+        c3.fill(p & _U64)
+        np.copyto(key, m)
+        k1 = seed
+        for _ in range(1, _PHILOX_ROUNDS):
             np.add(key, np.uint64(w0), out=key)
-            _mulhilo(c0, m0, spare, x, t, u)
-            np.bitwise_xor(spare, c3, out=c3)
-            np.bitwise_xor(c3, np.uint64(k1[r]), out=c3)
-            _mulhilo(c2, m1, spare, x, t, u)
-            np.bitwise_xor(spare, c1, out=c1)
+            k1 = (k1 + w1) & _U64
+            _mulhilo(c0, m0, hi, x, t, u)
+            np.bitwise_xor(c3, hi, out=c3)
+            np.bitwise_xor(c3, np.uint64(k1), out=c3)
+            _mulhilo(c2, m1, hi, x, t, u)
+            np.bitwise_xor(c1, hi, out=c1)
             np.bitwise_xor(c1, key, out=c1)
             c0, c1, c2, c3 = c1, c2, c3, c0
-        np.add(key, rewind, out=key)
         for j, word in enumerate((c0, c1, c2, c3)[: draws - 4 * b]):
             np.right_shift(word, _S11, out=word)
             np.multiply(word, 2.0**-53, out=out[:, 4 * b + j])
@@ -284,6 +278,8 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     draws per path, ``_philox_rows`` computes Philox over arrays of paths;
     above it, one numpy ``Philox`` instance is re-keyed per path, whose
     per-path cost is amortized over many draws, filling ``_TILE`` rows at a time.
+    Re-keying sets the stream word of a copy of the fresh state, whose
+    counter is 0 and whose buffer is empty, so every path starts its stream.
     """
     out = np.empty((draws, hi - lo), dtype=float).T
     if draws <= _ARRAY_PHILOX_MAX_DRAWS:
@@ -293,16 +289,12 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     gen = np.random.Generator(bg)
     state = bg.state
     key_words = state["state"]["key"]
-    counter = state["state"]["counter"]
     tile = np.empty((_TILE, draws), dtype=float)
     for t in range(0, hi - lo, _TILE):
         rows = tile[: hi - lo - t]
-        for i, row in enumerate(rows, t):
-            if i:
-                key_words[0] = (lo + i) & _U64
-                counter[:] = 0
-                state["buffer_pos"] = 4
-                bg.state = state
+        for m, row in enumerate(rows, lo + t):
+            key_words[0] = m
+            bg.state = state
             gen.random(out=row)
         out[t : t + len(rows)] = rows
     return out

@@ -120,7 +120,7 @@ def test_ks_two_sample_merge_matches_binary_search_bit_for_bit():
 def test_ks_statistics_reject_nan_samples():
     # a NaN sample has no place in an ECDF or an empirical characteristic
     # function, nor a NaN t: it would give a silent distance, or a NaN that a
-    # JSON report cannot carry
+    # JSON report cannot carry; an infinite sample or t makes cos(t x) NaN
     nan = float("nan")
     for call in (
         lambda: ks_two_sample([nan, 1.0], [1.0, 2.0]),
@@ -128,6 +128,8 @@ def test_ks_statistics_reject_nan_samples():
         lambda: ks_statistic([nan, 1.0], Pareto(2.0).cdf),
         lambda: empirical_chf([nan, 1.0], [0.1, 0.5]),
         lambda: empirical_chf([1.0, 2.0], [0.1, nan]),
+        lambda: empirical_chf([1.0, float("inf")], [0.5]),
+        lambda: empirical_chf([1.0, 2.0], [float("inf")]),
     ):
         with pytest.raises(ParameterError):
             call()

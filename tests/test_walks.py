@@ -56,6 +56,26 @@ def _band(n):
     return 3.0 * KS_COEFF / np.sqrt(n)
 
 
+# the shortest Kendall walk with one-uniform steps (one step and two
+# transition uniforms per step) that runs the re-keying loop: 1 + 80 * 3 = 241
+# uniforms per path
+_REKEYED_HORIZON = (_ARRAY_PHILOX_MAX_DRAWS - 1) // 3 + 2
+
+
+def _count_array_calls(monkeypatch):
+    """Route ``walks._philox_rows`` through a recorder; return the list of
+    the ``lo`` of each call."""
+    calls = []
+    array_rows = walks._philox_rows
+
+    def counting(*args):
+        calls.append(args[1])
+        array_rows(*args)
+
+    monkeypatch.setattr(walks, "_philox_rows", counting)
+    return calls
+
+
 def _replay_kendall(cfg):
     # one path at a time from its own stream: step, then switch and tail
     # uniforms, fed to the transition as scalars
@@ -93,7 +113,7 @@ def test_path_uniform_block_matches_streams():
     # seeds beyond 64 bits and negative ones are masked by philox_key (which
     # RngStream refuses them for), so the reference is numpy's own Philox
     for seed in (0, 2**64 - 1, -1, 2**64 + 3):
-        for draws in (0, 1, 3, 4, 5, cross, cross + 1):
+        for draws in (0, 1, 2, 3, 4, 5, 8, 9, cross, cross + 1):
             for lo in (0, 2**40):
                 block = _path_uniform_block(seed, lo, lo + 3, draws)
                 assert block.shape == (3, draws)
@@ -219,6 +239,21 @@ def test_simulate_output_is_pinned(key):
     for arr in (ens.states, ens.steps, ens.thetas, ens.switches):
         h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == _GOLDEN_DIGESTS[key]
+
+
+# The same digest for 64 paths x 100 steps of the weak Kendall mixture walk:
+# 2 + 99 * 5 = 497 uniforms per path, on the re-keying loop.
+_LONG_WALK_DIGEST = "79a4b3e1da0e5360f1b208f43f5f1226ab5583ba2d8640adf432f590aab8966b"
+
+
+def test_long_walk_output_is_pinned(monkeypatch):
+    calls = _count_array_calls(monkeypatch)
+    ens = simulate(WalkConfig("weak_kendall", 0.7, _DIGEST_LAWS["mixture"], 100, 64, 20261018))
+    assert calls == []
+    h = hashlib.sha256()
+    for arr in (ens.states, ens.steps, ens.thetas, ens.switches):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == _LONG_WALK_DIGEST
 
 
 @pytest.mark.parametrize("a", [1.0, 0.6])
@@ -497,18 +532,20 @@ def _chunk_threads(monkeypatch, cfg, workers):
     return simulate(cfg), seen
 
 
-@pytest.mark.parametrize("cfg", [
-    # 1 + 54 * 3 = 163 uniforms per path: the re-keying loop
-    WalkConfig("kendall", 1.0, Pareto(2.0), 55, 17000, 31),
+@pytest.mark.parametrize("cfg, array", [
+    # 241 uniforms per path: the re-keying loop
+    (WalkConfig("kendall", 1.0, Pareto(2.0), _REKEYED_HORIZON, 17000, 31), False),
     # a MuAlpha mixture on the array generator, 4 + 2 * 7 = 18 uniforms
-    WalkConfig("weak_kendall", 0.8, FiniteMixture(((0.5, MuAlpha(0.6)), (0.5, MuAlpha(1.0)))),
-               3, 17000, 73),
+    (WalkConfig("weak_kendall", 0.8, FiniteMixture(((0.5, MuAlpha(0.6)), (0.5, MuAlpha(1.0)))),
+                3, 17000, 73), True),
 ], ids=["rekeyed", "array"])
-def test_multi_chunk_walk_runs_on_the_pool_with_identical_output(monkeypatch, cfg):
+def test_multi_chunk_walk_runs_on_the_pool_with_identical_output(monkeypatch, cfg, array):
+    calls = _count_array_calls(monkeypatch)
     a, serial = _chunk_threads(monkeypatch, cfg, 1)
     b, pooled = _chunk_threads(monkeypatch, cfg, 4)
     assert serial == {threading.get_ident()}
     assert threading.get_ident() not in pooled
+    assert len(calls) == (4 if array else 0)  # two walks of two chunks
     for name in ("states", "steps", "thetas", "switches"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -550,12 +587,14 @@ def test_first_scipy_use_on_pool_threads_matches_a_loaded_scipy():
     assert proc.stdout.splitlines()[-1] == hashlib.sha256(states.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("horizon", [5, 55])
-def test_rows_do_not_depend_on_path_count(horizon):
+@pytest.mark.parametrize("horizon", [5, _REKEYED_HORIZON])
+def test_rows_do_not_depend_on_path_count(monkeypatch, horizon):
     # across the 16384-path chunk boundary, on the array generator (13
-    # uniforms per path) and on the re-keying loop (163)
+    # uniforms per path) and on the re-keying loop (241)
+    calls = _count_array_calls(monkeypatch)
     small = simulate(WalkConfig("kendall", 1.0, Uniform01(), horizon, 16400, 37))
     large = simulate(WalkConfig("kendall", 1.0, Uniform01(), horizon, 20000, 37))
+    assert len(calls) == (4 if horizon == 5 else 0)  # two walks of two chunks
     for name in ("states", "steps", "thetas", "switches"):
         assert np.array_equal(getattr(small, name), getattr(large, name)[:16400])
 
