@@ -28,6 +28,7 @@ from .measures import (
     Pareto,
     SymPareto,
     _check_positive,
+    _select,
     _sized,
     symmetrized_atom,
 )
@@ -212,7 +213,7 @@ def _kendall_transition(alpha, x, dx, u_q, u_t):
     v, w = _kendall_weight(alpha, x, dx)
     q = u_q < w
     theta = Pareto(2.0 * alpha).ppf(u_t)
-    mult = np.where(q, theta, 1.0)
+    mult = _select(q, theta, 1.0)
     nxt = np.where(v > 0, v * mult, 0.0)
     return nxt, mult, q
 
@@ -226,11 +227,12 @@ def _weak_transition(alpha, x, dx, u_q, u_t, u_r):
     """
     ax, adx = np.abs(x), np.abs(dx)
     v, w = _kendall_weight(alpha, ax, adx)
-    sgn = np.where(ax >= adx, np.sign(x), np.sign(dx))
+    # the rarer side, as the state mostly has the larger modulus; NaN gives v NaN, the draw 0
+    sgn = _select(adx > ax, np.sign(dx), np.sign(x))
     q = u_q < w
     theta = SymPareto(2.0 * alpha).ppf(u_t)
-    r = np.where(u_r < 0.5, -1.0, 1.0)
-    mult = np.where(q, theta, r)
+    r = np.copysign(1.0, u_r - 0.5)
+    mult = _select(q, theta, r)
     nxt = np.where(v > 0, v * sgn * mult, 0.0)
     return nxt, mult, q
 

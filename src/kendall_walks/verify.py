@@ -51,6 +51,7 @@ from .measures import (
     _check_int,
     _check_positive,
     _check_seed,
+    _select,
     sample_mu_alpha,
     scale_law,
     symmetrized_atom,
@@ -711,7 +712,7 @@ def _axiom_checks(kind: Convolution, inst: int, rng: RngStream, m: int, thr: flo
     s1 = convolve_sample(kind, mixed, law3, rng, m)
     d1 = convolve_sample(kind, law1, law3, rng, m)
     s2 = convolve_sample(kind, law2, law3, rng, m)
-    s2 = np.where(rng.random(m) < p, d1, s2)
+    s2 = _select(rng.random(m) < p, d1, s2)
     del d1
     checks.append(_check(f"{tag}_convex_linearity", ks_two_sample(s1, s2), thr))
     del s1, s2

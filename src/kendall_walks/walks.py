@@ -25,11 +25,11 @@ every transition so the per-path draw count is constant; ``simulate``
 works it out once, for the memory guard and for every chunk.  This makes
 the output independent of chunking and worker count, bit for bit.  Two
 generators produce these streams with the same bits as ``RngStream``:
-for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (240) uniforms per path,
+for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (64) uniforms per path,
 Philox4x64-10 in Random123's round order computed in numpy over arrays
 of paths (``_philox_rows``); for longer paths, one numpy ``Philox``
-re-keyed per path in a loop.  A walk
-of more than one 16384-path chunk runs its chunks on up to
+re-keyed per path in a loop, run by one chunk at a time (``_REKEY_LOCK``).
+A walk of more than one 16384-path chunk runs its chunks on up to
 ``worker_count()`` threads; that pool, ``_pool_map``, also runs
 :mod:`.verify`'s axiom instances, each in a copy of the caller's context
 (where numpy keeps ``errstate``).  The associated walk consumes streams per
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -82,20 +83,21 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _CHUNK = 16384
-_TILE = 64  # paths the re-keying loop draws per copy into the block
+_TILE = 256  # paths per copy into the block: 12 ms a chunk at 497 draws (64: 29 ms)
+# Held by a chunk's re-keying loop: two at once are slower than one after the other,
+# and the other thread's numpy work runs on (sim_long 0.33 s, 0.44 s without it).
+_REKEY_LOCK = threading.Lock()
 # Philox4x64-10 round multipliers and Weyl key increments (Random123).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # Draws per path up to which _philox_rows runs instead of re-keying one
 # Philox per path, both writing the draws-major block.  The array generator
-# costs about 29 ns per uniform; the loop about 1.9 us per path plus 9.5 ns
-# per uniform (its tile copy included), so with one worker the two meet near
-# 1.9 us / 20 ns, about 100 draws.  With two workers on two chunks the loop
-# also contends for the interpreter lock and equality moves to about 220
-# draws.  Measured on 16384-path chunks (2-vCPU x86-64, numpy 2.4, medians
-# of 7).  No workload sits between 19 and 496 draws.
-_ARRAY_PHILOX_MAX_DRAWS = 240
+# costs about 29 ns per uniform, the loop about 1.3 us per path plus 8.5 ns
+# per uniform (tile copy included): they meet near 65 draws, on one thread or
+# on two, where neither gains.  Measured on 16384-path chunks (2-vCPU x86-64,
+# numpy 2.4, medians of 7).  No workload sits between 19 and 496 draws.
+_ARRAY_PHILOX_MAX_DRAWS = 64
 _MAX_BYTES = 8_000_000_000
 _ASSOCIATED_STREAMS = 1 << 63  # block b of simulate_associated reads id 2^63 + b
 
@@ -277,9 +279,10 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     the same bits as ``RngStream(seed, m)``: up to ``_ARRAY_PHILOX_MAX_DRAWS``
     draws per path, ``_philox_rows`` computes Philox over arrays of paths;
     above it, one numpy ``Philox`` instance is re-keyed per path, whose
-    per-path cost is amortized over many draws, filling ``_TILE`` rows at a time.
-    Re-keying sets the stream word of a copy of the fresh state, whose
-    counter is 0 and whose buffer is empty, so every path starts its stream.
+    per-path cost is amortized over many draws, ``_TILE`` rows at a time.
+    Re-keying sets the stream word of a copy of the fresh state (in lists, which
+    the setter reads twice as fast as arrays), whose counter is 0 and whose
+    buffer is empty, so every path starts its stream.
     """
     out = np.empty((draws, hi - lo), dtype=float).T
     if draws <= _ARRAY_PHILOX_MAX_DRAWS:
@@ -288,15 +291,18 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     bg = np.random.Philox(key=philox_key(seed, lo))
     gen = np.random.Generator(bg)
     state = bg.state
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
     key_words = state["state"]["key"]
     tile = np.empty((_TILE, draws), dtype=float)
-    for t in range(0, hi - lo, _TILE):
-        rows = tile[: hi - lo - t]
-        for m, row in enumerate(rows, lo + t):
-            key_words[0] = m
-            bg.state = state
-            gen.random(out=row)
-        out[t : t + len(rows)] = rows
+    with _REKEY_LOCK:
+        for t in range(0, hi - lo, _TILE):
+            rows = tile[: hi - lo - t]
+            for m, row in enumerate(rows, lo + t):
+                key_words[0] = m
+                bg.state = state
+                gen.random(out=row)
+            out[t : t + len(rows)] = rows
     return out
 
 

@@ -44,7 +44,8 @@ from kendall_walks import (
     symmetrized_atom,
 )
 from kendall_walks import closedforms as cf
-from kendall_walks.measures import Distribution, _mu1_proposals
+from kendall_walks.convolution import _weak_transition
+from kendall_walks.measures import Distribution, _mu1_proposals, _select
 from kendall_walks.verify import KS_COEFF
 
 orders = st.floats(min_value=0.5, max_value=5.0, allow_nan=False)
@@ -199,6 +200,64 @@ def test_sym_pareto_ppf_edges_finite():
     vals = SymPareto(0.2).ppf(np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0]))
     assert np.isfinite(vals).all()
     assert vals[0] == vals[1] == -vals[2] == -vals[3]
+
+
+def _same_array(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+def test_select_is_np_where(density):
+    # _select gathers and scatters by index; its dtype, shape and bits are
+    # np.where's, signed zeros, infinities and NaNs included
+    rng = RngStream(91, 0)
+    n = 1000
+    odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    a, b = (np.where(rng.random(n) < 0.3, odd[rng.integers(0, 5, n)], rng.standard_normal(n))
+            for _ in range(2))
+    cond = rng.random(n) < density
+    cases = [(cond, a, b), (cond, 1.0, b), (cond, a, -0.0), (cond, np.nan, np.inf),
+             (cond, a.astype(np.float32), 1.0), (cond, a[:, None], b),
+             (np.bool_(density > 0.5), a, b),
+             (np.array(density > 0.5), -0.0, b), (np.bool_(density > 0.5), 1.0, 2.0),
+             (cond[:0], a[:0], b[:0]), (cond[:0], 1.0, b[:0]), (cond[:0], a[:0], 2.0)]
+    for args in cases:
+        assert _same_array(_select(*args), np.where(*args))
+
+
+def test_mixture_picks_components_as_searchsorted_does():
+    # a component is picked by comparing with the cumulative weights; the
+    # parent's searchsorted form is written out here, ties going right
+    weights = (0.2, 0.3, 0.5)
+    mix = FiniteMixture(tuple((w, Dirac(float(j))) for j, w in enumerate(weights)))
+    cum = np.cumsum(weights)
+    edges = [0.0, np.nextafter(0.2, 0.0), 0.2, np.nextafter(0.5, 0.0), 0.5, 1.0 - 2.0**-53, 1.0]
+    u = np.concatenate([edges, RngStream(95, 0).random(100_000)])
+    want = np.minimum(np.searchsorted(cum, u, side="right"), 2).astype(float)
+    assert np.array_equal(mix._from_uniforms(u[:, None]), want)
+    assert np.array_equal(want[:7], [0, 0, 1, 1, 2, 2, 2])
+
+
+_EDGE_UNIFORMS = np.array([0.0, 2.0**-53, 0.25, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53,
+                           1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("order", [0.02, 1.0, 3.0])
+def test_sym_pareto_ppf_and_atom_sign_keep_their_bits(order):
+    # one power signed by u - 1/2 against the two-branch quantile, and the
+    # weak atom sign against its branch, written out here
+    u = np.concatenate([_EDGE_UNIFORMS, RngStream(93, 0).random(100_000)])
+    with np.errstate(over="ignore"):  # order 0.02 overflows to +-inf at the edges
+        lower = -np.maximum(2.0 * u, 2.0**-52) ** (-1.0 / order)
+        upper = np.maximum(2.0 * (1.0 - u), 2.0**-52) ** (-1.0 / order)
+        got = SymPareto(order, 2.5).ppf(u)
+    assert _same_array(got, 2.5 * np.where(u < 0.5, lower, upper))
+    # u_q = 1 never switches, so the realized multiplier is the atom sign
+    ones = np.ones_like(u)
+    _, mult, q = _weak_transition(0.5, ones, 0.5 * ones, ones, u, u)
+    assert not q.any()
+    assert _same_array(mult, np.where(u < 0.5, -1.0, 1.0))
 
 
 @given(order=orders, u=interior)

@@ -36,6 +36,7 @@ from kendall_walks import (
     nstep_cdf,
     nstep_delta1_cdf,
     philox_key,
+    scale_law,
     simulate,
     simulate_associated,
     symmetrized_atom,
@@ -57,7 +58,7 @@ def _band(n):
 
 
 # the shortest Kendall walk with one-uniform steps (one step and two
-# transition uniforms per step) that runs the re-keying loop: 1 + 80 * 3 = 241
+# transition uniforms per step) that runs the re-keying loop: 1 + 22 * 3 = 67
 # uniforms per path
 _REKEYED_HORIZON = (_ARRAY_PHILOX_MAX_DRAWS - 1) // 3 + 2
 
@@ -122,13 +123,14 @@ def test_path_uniform_block_matches_streams():
                     want = np.random.Generator(np.random.Philox(key=key)).random(draws)
                     assert np.array_equal(block[i], want), (seed, draws, lo, i)
     # uneven [lo, hi) pieces of [0, n) give the rows of one block, also
-    # across the re-keying loop's 64-path tiles
+    # across the re-keying loop's tiles
+    tile = walks._TILE
     for draws, cuts in ((7, (0, 1, 8, 9, 30, 41)), (cross + 1, (0, 1, 8, 9, 30, 41)),
-                        (cross + 1, (0, 1, 63, 64, 65, 130))):
+                        (cross + 1, (0, 1, tile - 1, tile, tile + 1, 2 * tile + 2))):
         whole = _path_uniform_block(29, 0, cuts[-1], draws)
         pieces = [_path_uniform_block(29, a, b, draws) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate(pieces), whole)
-        for m in (0, 63, 64, cuts[-1] - 1):
+        for m in (0, tile - 1, tile, cuts[-1] - 1):
             if m < cuts[-1]:
                 assert np.array_equal(whole[m], RngStream(29, m).random(draws))
     # a Dirac walk of one step draws no uniforms at all
@@ -254,6 +256,32 @@ def test_long_walk_output_is_pinned(monkeypatch):
     for arr in (ens.states, ens.steps, ens.thetas, ens.switches):
         h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == _LONG_WALK_DIGEST
+
+
+# The same digest for two walks of 16400 paths x 8 steps at seed 20261018,
+# whose arrays fill one 16384-path chunk and start a second: weak Kendall at
+# alpha 0.3 with a negative, a symmetric and a MuAlpha component, and Kendall
+# at alpha 0.7 with Gamma(2, 1) steps.
+_FULL_WIDTH_WALKS = {
+    "weak_kendall": (
+        WalkConfig("weak_kendall", 0.3, FiniteMixture((
+            (0.2, scale_law(Uniform01(), -2.0)), (0.3, SymPareto(1.5)), (0.5, MuAlpha(0.6)))),
+            8, 16400, 20261018),
+        "f583605ecfdcb99b21f7345b26bbdba959ebe41f346653362f73b9e4ab96e598"),
+    "kendall": (
+        WalkConfig("kendall", 0.7, Gamma(2.0, 1.0), 8, 16400, 20261018),
+        "9044e90c0e6fe01927dd630072a9a01af1a21e1656cf3c61d8fd8e6e73c39b88"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FULL_WIDTH_WALKS))
+def test_full_width_walk_output_is_pinned(kind):
+    cfg, digest = _FULL_WIDTH_WALKS[kind]
+    ens = simulate(cfg)
+    h = hashlib.sha256()
+    for arr in (ens.states, ens.steps, ens.thetas, ens.switches):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("a", [1.0, 0.6])
@@ -533,7 +561,7 @@ def _chunk_threads(monkeypatch, cfg, workers):
 
 
 @pytest.mark.parametrize("cfg, array", [
-    # 241 uniforms per path: the re-keying loop
+    # 67 uniforms per path: the re-keying loop
     (WalkConfig("kendall", 1.0, Pareto(2.0), _REKEYED_HORIZON, 17000, 31), False),
     # a MuAlpha mixture on the array generator, 4 + 2 * 7 = 18 uniforms
     (WalkConfig("weak_kendall", 0.8, FiniteMixture(((0.5, MuAlpha(0.6)), (0.5, MuAlpha(1.0)))),
@@ -590,7 +618,7 @@ def test_first_scipy_use_on_pool_threads_matches_a_loaded_scipy():
 @pytest.mark.parametrize("horizon", [5, _REKEYED_HORIZON])
 def test_rows_do_not_depend_on_path_count(monkeypatch, horizon):
     # across the 16384-path chunk boundary, on the array generator (13
-    # uniforms per path) and on the re-keying loop (241)
+    # uniforms per path) and on the re-keying loop (67)
     calls = _count_array_calls(monkeypatch)
     small = simulate(WalkConfig("kendall", 1.0, Uniform01(), horizon, 16400, 37))
     large = simulate(WalkConfig("kendall", 1.0, Uniform01(), horizon, 20000, 37))
