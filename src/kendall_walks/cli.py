@@ -21,11 +21,11 @@ Exit status: 0 success, 1 verification failure, 2 usage or domain error.
 Flags are only parsed here; the library range-checks every value (a
 ``ParameterError``, exit status 2) before any computation starts, and
 identical invocations with identical seeds emit byte-identical files
-whatever the thread count.  One writer, ``_write_csv``, serves
-all three tables: it takes blocks of numpy columns and writes each value as
-its ``repr`` (ints in decimal, reals in shortest round-trip form), in slices
-of ``_CSV_SLICE_ROWS`` rows within which each distinct value of a column is
-formatted once; ``simulate`` passes ``_CSV_BLOCK_PATHS`` paths per block,
+whatever the size of the thread pool that runs ``verify``'s axiom instances.
+One writer, ``_write_csv``, serves all three tables: it takes blocks of numpy
+columns and writes each value as its ``repr`` (ints in decimal, reals in
+shortest round-trip form), in slices of ``_CSV_SLICE_ROWS`` rows within which
+each distinct value of a column is formatted once; ``simulate`` passes ``_CSV_BLOCK_PATHS`` paths per block,
 ``nstep`` and ``transform`` one.
 """
 

@@ -327,19 +327,20 @@ class PowerLawEnvelope:
 
 
 # Per-check false-alarm level of the binomial gates.  For the envelope
-# violation rates (counts of paths) it is a bound: on correct code each one
-# fails with at most this probability.  For the truncated alpha-moments it is
-# an approximation, not a bound: their [0, 1]-valued summands have variance at
-# most p (1 - p), that of the binomial, so the band is at least as wide as a
-# normal band on their own variance, but the binomial tail bounds their tail
-# only asymptotically.  The other gates, at asymptotic Kolmogorov levels for a
-# continuous law (atoms make them conservative): a one-sample KS at
-# 3 KS_COEFF / sqrt(m) is at about 3.4e-21 per check, a two-sample KS at
-# 3 KS_COEFF / sqrt(m) with m draws a side (axioms) at 8.2e-11, and one at
-# 3 KS_COEFF sqrt(2 / m) or more (chf) at 3.4e-21.  The chf cosine gate, at
-# least 4 / sqrt(m), is 4 standard errors or more at each of its 10 points (a
-# cosine has variance at most 1): about 6.3e-4 per check in the normal
-# approximation, and at most 6.7e-3 by Hoeffding's inequality.
+# violation rates and the weak walk's sign counts (counts of paths) it is a
+# bound: on correct code each one fails with at most this probability.  For the
+# truncated alpha-moments it is an approximation, not a bound: their
+# [0, 1]-valued summands have variance at most p (1 - p), that of the
+# binomial, so the band is at least as wide as a normal band on their own
+# variance, but the binomial tail bounds their tail only asymptotically.  The
+# other gates, at asymptotic Kolmogorov levels for a continuous law (atoms
+# make them conservative): a one-sample KS at 3 KS_COEFF / sqrt(m) is at about
+# 3.4e-21 per check, a two-sample KS at 3 KS_COEFF / sqrt(m) with m draws a
+# side (axioms) at 8.2e-11, and one at 3 KS_COEFF sqrt(2 / m) or more (chf) at
+# 3.4e-21.  The chf cosine gate, at least 4 / sqrt(m), is 4 standard errors or
+# more at each of its 10 points (a cosine has variance at most 1): about
+# 6.3e-4 per check in the normal approximation, and at most 6.7e-3 by
+# Hoeffding's inequality.
 _FALSE_ALARM = 1e-6
 
 
@@ -493,6 +494,28 @@ def moment_check(ensemble: WalkEnsemble, ns=None) -> VerificationReport:
     )
 
 
+def _sign_checks(ensemble: WalkEnsemble, ns) -> list:
+    """Exact binomial gates on the signs of a weak walk with no zero state.
+
+    The weak kernel at (a, b) is the law of max(|a|, |b|) eps theta^Q with a
+    fair sign eps independent of the rest, so consecutive signs agree with
+    probability 1/2, and P(X_n > 0, |X_n| <= x) = F_n(x) / 2 for n >= 2 in
+    ``ns`` and x in ``_MOMENT_XS``, where F_n is the n-step law of |step|.
+    """
+    cfg, x_n, m = ensemble.config, ensemble.states, len(ensemble)
+    rates = [(f"sign_agreement_n{n}", np.sign(x_n[:, n]) == np.sign(x_n[:, n + 1]), 0.5)
+             for n in range(1, cfg.horizon)]
+    rates += [(f"positive_n{n}_x{x:g}", (x_n[:, n] > 0) & (x_n[:, n] <= x),
+               0.5 * float(williamson.nstep_cdf(cfg.unit_step.abs_law(), cfg.alpha, n, x)))
+              for n in ns for x in _MOMENT_XS]
+    checks = []
+    for name, hits, p in rates:
+        rate = float(np.mean(hits))
+        checks.append(_check(name, abs(rate - p), _binomial_gate(p, m, exact=True),
+                             detail=f"empirical {rate:.6f} vs exact {p:.6f} at {m} paths"))
+    return checks
+
+
 DEFAULT_CONFIG = {
     "seed": 20260816,
     "samples": 200_000,
@@ -558,7 +581,8 @@ def run_ks_suite(config=None) -> VerificationReport:
 
 def run_moments_suite(config=None) -> VerificationReport:
     """Truncated alpha-moment gates at n in {2, 5} on three walks: Kendall
-    unit-atom steps at alpha 0.3 and 1.5, weak Kendall at 0.5."""
+    unit-atom steps at alpha 0.3 and 1.5, weak Kendall at 0.5, whose signs
+    are gated too (``_sign_checks``)."""
     cfg = _merged(config)
     seed, m = cfg["seed"], cfg["paths"]
     # (kind, alpha, step law); the case index is the seed offset
@@ -570,7 +594,10 @@ def run_moments_suite(config=None) -> VerificationReport:
     checks = []
     for offset, (kind, alpha, step) in enumerate(cases):
         ens = simulate(WalkConfig(kind, alpha, step, _HORIZON, m, seed + offset))
-        checks.extend(_prefixed(f"{kind}_a{alpha}_", moment_check(ens, ns=(2, _HORIZON)).checks))
+        part = list(moment_check(ens, ns=(2, _HORIZON)).checks)
+        if kind == "weak_kendall":
+            part += _sign_checks(ens, ns=(2, _HORIZON))
+        checks.extend(_prefixed(f"{kind}_a{alpha}_", part))
     return VerificationReport(
         suite="moments",
         seed=seed,
@@ -729,7 +756,7 @@ def _axiom_checks(kind: Convolution, inst: int, rng: RngStream, m: int, thr: flo
 def run_axioms_suite(config=None) -> VerificationReport:
     """Commutativity (exact), associativity, convex-linearity, and scaling
     homogeneity on random instances of every kind; each instance reads its
-    own stream, so the walk thread pool that runs them changes no byte."""
+    own stream, so the thread pool that runs them changes no byte."""
     cfg = _merged(config)
     seed, m = cfg["seed"], cfg["samples"]
     thr = 3.0 * KS_COEFF / math.sqrt(m)

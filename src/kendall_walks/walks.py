@@ -23,19 +23,18 @@ Path ``m`` of a simulation draws exclusively from the stream
 fixed order (step, switch, tail, sign), with the tail uniform drawn on
 every transition so the per-path draw count is constant; ``simulate``
 works it out once, for the memory guard and for every chunk.  This makes
-the output independent of chunking and worker count, bit for bit.  Two
-generators produce these streams with the same bits as ``RngStream``:
-for up to ``_ARRAY_PHILOX_MAX_DRAWS`` (64) uniforms per path,
-Philox4x64-10 in Random123's round order computed in numpy over arrays
-of paths (``_philox_rows``); for longer paths, one numpy ``Philox``
-re-keyed per path in a loop, run by one chunk at a time (``_REKEY_LOCK``).
-A walk of more than one 16384-path chunk runs its chunks on up to
-``worker_count()`` threads; that pool, ``_pool_map``, also runs
-:mod:`.verify`'s axiom instances, each in a copy of the caller's context
-(where numpy keeps ``errstate``).  The associated walk consumes streams per
-fixed-size path block instead, because its multiplier sampler is
-rejection-based with a data-dependent draw count; blocks are tied to
-path indices, not workers, so the same reproducibility guarantee holds.
+the output independent of chunking, bit for bit.  Two generators produce
+these streams with the same bits as ``RngStream``: for up to
+``_ARRAY_PHILOX_MAX_DRAWS`` (64) uniforms per path, Philox4x64-10 in
+Random123's round order computed in numpy over arrays of paths
+(``_philox_rows``); for longer paths, one numpy ``Philox`` re-keyed per
+path in a loop.  A walk runs its 16384-path chunks in order on the
+calling thread; the thread pool ``_pool_map`` runs only :mod:`.verify`'s
+axiom instances, each in a copy of the caller's context (where numpy keeps
+``errstate``).  The associated walk consumes streams per fixed-size path
+block instead, because its multiplier sampler is rejection-based with a
+data-dependent draw count; blocks are tied to path indices, so the same
+reproducibility guarantee holds.
 The rejection sampler is kept because it is about 6 times faster than
 ``mu1_ppf`` (0.19 s against 1.1 s per 1e6 draws on a 2-vCPU x86-64
 machine).  Stream ids are disjoint at one seed: path m reads id m
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -84,9 +82,6 @@ _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _CHUNK = 16384
 _TILE = 256  # paths per copy into the block: 12 ms a chunk at 497 draws (64: 29 ms)
-# Held by a chunk's re-keying loop: two at once are slower than one after the other,
-# and the other thread's numpy work runs on (sim_long 0.33 s, 0.44 s without it).
-_REKEY_LOCK = threading.Lock()
 # Philox4x64-10 round multipliers and Weyl key increments (Random123).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -94,9 +89,9 @@ _PHILOX_ROUNDS = 10
 # Draws per path up to which _philox_rows runs instead of re-keying one
 # Philox per path, both writing the draws-major block.  The array generator
 # costs about 29 ns per uniform, the loop about 1.3 us per path plus 8.5 ns
-# per uniform (tile copy included): they meet near 65 draws, on one thread or
-# on two, where neither gains.  Measured on 16384-path chunks (2-vCPU x86-64,
-# numpy 2.4, medians of 7).  No workload sits between 19 and 496 draws.
+# per uniform (tile copy included): they meet near 65 draws.  Measured on
+# 16384-path chunks (2-vCPU x86-64, numpy 2.4, medians of 7).  No workload
+# sits between 19 and 496 draws.
 _ARRAY_PHILOX_MAX_DRAWS = 64
 _MAX_BYTES = 8_000_000_000
 _ASSOCIATED_STREAMS = 1 << 63  # block b of simulate_associated reads id 2^63 + b
@@ -113,8 +108,8 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Thread cap of ``_pool_map``, which runs the chunks of one walk and
-    :mod:`.verify`'s axiom instances: the CPU count, at most 8."""
+    """Thread cap of ``_pool_map``, which runs :mod:`.verify`'s axiom
+    instances: the CPU count, at most 8."""
     return min(os.cpu_count() or 1, 8)
 
 
@@ -295,14 +290,13 @@ def _path_uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     state["buffer"] = state["buffer"].tolist()
     key_words = state["state"]["key"]
     tile = np.empty((_TILE, draws), dtype=float)
-    with _REKEY_LOCK:
-        for t in range(0, hi - lo, _TILE):
-            rows = tile[: hi - lo - t]
-            for m, row in enumerate(rows, lo + t):
-                key_words[0] = m
-                bg.state = state
-                gen.random(out=row)
-            out[t : t + len(rows)] = rows
+    for t in range(0, hi - lo, _TILE):
+        rows = tile[: hi - lo - t]
+        for m, row in enumerate(rows, lo + t):
+            key_words[0] = m
+            bg.state = state
+            gen.random(out=row)
+        out[t : t + len(rows)] = rows
     return out
 
 
@@ -330,10 +324,9 @@ def _simulate_chunk_quantile(cfg: WalkConfig, kind, kdraws, total, lo, hi, out):
 
 def _check_memory(paths: int, horizon: int, draws: int):
     """Raise ResourceError before allocating an ensemble of ``paths`` x
-    ``horizon`` whose chunks in flight, one per worker thread, each hold a
-    block of ``draws`` floats per path (the path's uniforms, for ``simulate``)."""
-    workers = min(worker_count(), -(-paths // _CHUNK))
-    est = (paths * (4 * horizon + 2) + workers * min(paths, _CHUNK) * draws) * 8
+    ``horizon`` whose one chunk in flight holds a block of ``draws`` floats
+    per path (the path's uniforms, for ``simulate``)."""
+    est = (paths * (4 * horizon + 2) + min(paths, _CHUNK) * draws) * 8
     if est > _MAX_BYTES:
         raise ResourceError(
             f"request needs ~{est / 1e9:.1f} GB for {paths} paths x horizon {horizon}; "
@@ -342,9 +335,10 @@ def _check_memory(paths: int, horizon: int, draws: int):
 
 
 def _pool_map(task, items) -> list:
-    """``[task(item) for item in items]``, run on up to ``worker_count()``
-    threads.  Each pooled call runs in a copy of the caller's context (numpy
-    keeps ``errstate`` there), and the first exception reaches the caller."""
+    """``[task(item) for item in items]`` on up to ``worker_count()`` threads,
+    for :mod:`.verify`'s axiom instances.  Each pooled call runs in a copy of
+    the caller's context (numpy keeps ``errstate`` there), and the first
+    exception reaches the caller."""
     items = list(items)
     workers = min(worker_count(), len(items))
     if workers <= 1:
@@ -355,14 +349,15 @@ def _pool_map(task, items) -> list:
 
 
 def _run_chunks(n_items: int, task):
-    _pool_map(lambda lo: task(lo, min(lo + _CHUNK, n_items)), range(0, n_items, _CHUNK))
+    for lo in range(0, n_items, _CHUNK):
+        task(lo, min(lo + _CHUNK, n_items))
 
 
 def simulate(config: WalkConfig) -> WalkEnsemble:
     """Simulate ``config.paths`` independent trajectories.
 
-    Path m draws from stream (config.seed, m); results are bit-identical
-    regardless of worker count.
+    Path m draws from stream (config.seed, m); the 16384-path chunks run
+    one after another on the calling thread.
     """
     m, n = config.paths, config.horizon
     kind = parse_convolution(config.convolution, config.alpha)

@@ -120,21 +120,6 @@ def test_format_dist_rejects_inexpressible():
         format_dist(FiniteMixture(((0.5, Dirac(1.0)), (0.5, Pareto(2.0, scale=2.0)))))
 
 
-def test_simulate_csv_deterministic_across_workers(tmp_path, monkeypatch):
-    outs = []
-    for threads in (1, 4):
-        monkeypatch.setattr(walks, "worker_count", lambda: threads)
-        out = tmp_path / f"sim_{threads}.csv"
-        code = run([
-            "simulate", "--conv", "weak-kendall", "--alpha", "0.7",
-            "--step", "sympareto:3", "--n", "6", "--paths", "500",
-            "--seed", "42", "--out", str(out),
-        ])
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_simulate_csv_row_semantics(tmp_path):
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--n", "3", "--paths", "2", "--seed", "9",

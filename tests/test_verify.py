@@ -325,6 +325,21 @@ def test_moments_suite_catches_a_kendall_tail_mutant(monkeypatch):
     assert not run_verification("moments", {"paths": 200000}).passed
 
 
+def test_moments_suite_catches_a_weak_atom_sign_mutant(monkeypatch):
+    weak = convolution._weak_transition
+
+    def mutant(alpha, x, dx, u_q, u_t, u_r):
+        # u_r only signs the atom: the sign becomes copysign(1, u_r - 0.6),
+        # positive with probability 0.4
+        return weak(alpha, x, dx, u_q, u_t, u_r - 0.1)
+
+    assert run_verification("moments", {"paths": 50000}).passed
+    monkeypatch.setattr(convolution, "_weak_transition", mutant)
+    report = run_verification("moments", {"paths": 50000})
+    assert not report.passed
+    assert all("_sign_agreement_n" in c.name for c in report.checks if not c.passed)
+
+
 def test_moments_suite_passes_one_path_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -418,9 +433,11 @@ _PINNED_REPORTS = {
 # the chf and axioms statistics moved, and all 154 checks still pass.  It was
 # re-recorded once more when the moments suite's 28 quadrature gates gave way
 # to 18 truncated alpha-moment gates on three walks: every other check's bytes
-# are unchanged, and all 144 checks pass.
+# are unchanged, and all 144 checks pass.  It was re-recorded last when the
+# weak walk's signs gained 10 exact binomial gates in the moments suite: the
+# other 144 checks keep their bytes, and all 154 pass.
 _REPORT_DIGESTS = {
-    "all": "bd283fb5aa657f89b38225d6778aeafa0666d7b8b037d13eef6075b61ec98472",
+    "all": "c85cee43ee921d065ad1df04493af64208908c23eb76c9310d8c377962a8f0e4",
     "envelope_h120": "1355bea92c6accf4e642bd8fcb21e80cbabf52ef232fc69e0ca3a71ce63001f3",
     "power_law": "40b3e3b8451728dd301dcc4207d84da2fb243badd5803909f79b4ebcf2172b5a",
     "declared": "6792f27ded3d694d18585b951af3e02ab2c68a09b4698ff8a7f68ec28c97b7fc",
@@ -472,7 +489,7 @@ def test_run_verification_small_suites_pass():
     assert ks.passed and ks.suite == "ks"
     moments = run_verification("moments", {"samples": 4000, "paths": 4000})
     assert moments.passed
-    assert len(moments.checks) == 18
+    assert len(moments.checks) == 28
     assert moments.checks[0].name == "kendall_a0.3_alpha_moment_n2_x1.5"
 
 
