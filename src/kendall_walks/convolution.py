@@ -28,7 +28,6 @@ from .measures import (
     Pareto,
     SymPareto,
     _check_positive,
-    _select,
     _sized,
     symmetrized_atom,
 )
@@ -202,6 +201,16 @@ def kernel(kind: Convolution, a: float, b: float) -> Distribution:
     return kind.kernel(a, b)
 
 
+def _select_at(cond, fn, a, b):
+    """``np.where(cond, fn(a), b)`` as a float array, bit for bit, with the
+    elementwise ``fn`` applied only where ``cond`` holds, to a 1-D array."""
+    cond, a, b = np.broadcast_arrays(cond, a, b)
+    out = np.array(b, dtype=float, order="C")
+    idx = np.flatnonzero(cond)
+    out.reshape(-1)[idx] = fn(a.reshape(-1)[idx])
+    return out
+
+
 # Module-level names, called by the kinds through these globals, because
 # benchmarks/tracer.py times the transition layer by replacing them.
 def _kendall_transition(alpha, x, dx, u_q, u_t):
@@ -212,8 +221,7 @@ def _kendall_transition(alpha, x, dx, u_q, u_t):
     """
     v, w = _kendall_weight(alpha, x, dx)
     q = u_q < w
-    theta = Pareto(2.0 * alpha).ppf(u_t)
-    mult = _select(q, theta, 1.0)
+    mult = _select_at(q, Pareto(2.0 * alpha).ppf, u_t, 1.0)
     nxt = np.where(v > 0, v * mult, 0.0)
     return nxt, mult, q
 
@@ -228,11 +236,10 @@ def _weak_transition(alpha, x, dx, u_q, u_t, u_r):
     ax, adx = np.abs(x), np.abs(dx)
     v, w = _kendall_weight(alpha, ax, adx)
     # the rarer side, as the state mostly has the larger modulus; NaN gives v NaN, the draw 0
-    sgn = _select(adx > ax, np.sign(dx), np.sign(x))
+    sgn = _select_at(adx > ax, np.sign, dx, np.sign(x))
     q = u_q < w
-    theta = SymPareto(2.0 * alpha).ppf(u_t)
     r = np.copysign(1.0, u_r - 0.5)
-    mult = _select(q, theta, r)
+    mult = _select_at(q, SymPareto(2.0 * alpha).ppf, u_t, r)
     nxt = np.where(v > 0, v * sgn * mult, 0.0)
     return nxt, mult, q
 

@@ -314,14 +314,18 @@ class PowerLawEnvelope:
                            tuple(_check_int("check_ns entry", n) for n in self.check_ns))
 
     def _violations(self, abs_states, ns, alpha):
-        """(no premise checks, violation mask, per-n probabilities, gated columns)."""
+        """(no premise checks, violation mask, per-n probabilities, gated columns).
+
+        Raises ``abs_states`` to the power ``alpha`` in place."""
         horizon = int(ns[-1])
         rate_js = [n - self.n0 for n in self.check_ns if self.n0 <= n <= horizon]
         if not rate_js:
             raise ParameterError(f"no check_ns fall inside [{self.n0}, {horizon}]")
         # compare |X|^alpha itself: the 1/alpha root of the threshold can
-        # flip a comparison at rounding
-        viol = abs_states ** alpha > ns ** (self.r + 1.0) / np.log(ns)
+        # flip a comparison at rounding; **= keeps ndarray's scalar-power
+        # paths, and so the bits of abs_states ** alpha
+        abs_states **= alpha
+        viol = abs_states > ns ** (self.r + 1.0) / np.log(ns)
         per_n_prob = np.atleast_1d(closedforms.envelope_prob(ns, self.r))
         return [], viol, per_n_prob, rate_js
 

@@ -28,13 +28,16 @@ these streams with the same bits as ``RngStream``: for up to
 ``_ARRAY_PHILOX_MAX_DRAWS`` (64) uniforms per path, Philox4x64-10 in
 Random123's round order computed in numpy over arrays of paths
 (``_philox_rows``); for longer paths, one numpy ``Philox`` re-keyed per
-path in a loop.  A walk runs its 16384-path chunks in order on the
-calling thread; the thread pool ``_pool_map`` runs only :mod:`.verify`'s
-axiom instances, each in a copy of the caller's context (where numpy keeps
-``errstate``).  The associated walk consumes streams per fixed-size path
-block instead, because its multiplier sampler is rejection-based with a
-data-dependent draw count; blocks are tied to path indices, so the same
-reproducibility guarantee holds.
+path in a loop.  A walk runs its chunks in order on the calling thread,
+each as many 256-path tiles as fit a 16 MiB uniform block, at most 16384
+paths (``_chunk_paths``), so a walk holds one such block at a time; chunks
+set no stream, so they can change size without changing a bit.  The thread
+pool ``_pool_map`` runs only :mod:`.verify`'s axiom instances, each in a
+copy of the caller's context (where numpy keeps ``errstate``).  The
+associated walk consumes streams per block of 16384 paths instead, because
+its multiplier sampler is rejection-based with a data-dependent draw count;
+blocks are tied to path indices, so the same reproducibility guarantee
+holds, and their size is part of its stream contract.
 The rejection sampler is kept because it is about 6 times faster than
 ``mu1_ppf`` (0.19 s against 1.1 s per 1e6 draws on a 2-vCPU x86-64
 machine).  Stream ids are disjoint at one seed: path m reads id m
@@ -82,6 +85,9 @@ _S32 = np.uint64(32)
 _S11 = np.uint64(11)
 _CHUNK = 16384
 _TILE = 256  # paths per copy into the block: 12 ms a chunk at 497 draws (64: 29 ms)
+# Cap on one chunk's uniform block: a walk holds one block in flight, so
+# paths of many draws run in narrower chunks (see _chunk_paths).
+_BLOCK_BYTES = 16 << 20
 # Philox4x64-10 round multipliers and Weyl key increments (Random123).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -322,11 +328,19 @@ def _simulate_chunk_quantile(cfg: WalkConfig, kind, kdraws, total, lo, hi, out):
         switches[sl, i - 1] = q
 
 
-def _check_memory(paths: int, horizon: int, draws: int):
+def _chunk_paths(draws: int) -> int:
+    """Paths per chunk of ``simulate`` at ``draws`` >= 0 uniforms per path:
+    the most whole ``_TILE``s whose block fits in ``_BLOCK_BYTES``, at least
+    one tile and at most ``_CHUNK`` paths."""
+    tiles = _BLOCK_BYTES // (8 * _TILE * max(draws, 1))
+    return min(max(tiles, 1) * _TILE, _CHUNK)
+
+
+def _check_memory(paths: int, horizon: int, chunk: int, draws: int):
     """Raise ResourceError before allocating an ensemble of ``paths`` x
-    ``horizon`` whose one chunk in flight holds a block of ``draws`` floats
-    per path (the path's uniforms, for ``simulate``)."""
-    est = (paths * (4 * horizon + 2) + min(paths, _CHUNK) * draws) * 8
+    ``horizon`` whose one chunk of ``chunk`` paths in flight holds a block
+    of ``draws`` floats per path (the path's uniforms, for ``simulate``)."""
+    est = (paths * (4 * horizon + 2) + min(paths, chunk) * draws) * 8
     if est > _MAX_BYTES:
         raise ResourceError(
             f"request needs ~{est / 1e9:.1f} GB for {paths} paths x horizon {horizon}; "
@@ -348,28 +362,32 @@ def _pool_map(task, items) -> list:
         return list(pool.map(lambda ctx, item: ctx.run(task, item), contexts, items))
 
 
-def _run_chunks(n_items: int, task):
-    for lo in range(0, n_items, _CHUNK):
-        task(lo, min(lo + _CHUNK, n_items))
+def _run_chunks(n_items: int, chunk: int, task):
+    for lo in range(0, n_items, chunk):
+        task(lo, min(lo + chunk, n_items))
 
 
 def simulate(config: WalkConfig) -> WalkEnsemble:
     """Simulate ``config.paths`` independent trajectories.
 
-    Path m draws from stream (config.seed, m); the 16384-path chunks run
-    one after another on the calling thread.
+    Path m draws from stream (config.seed, m); the chunks run one after
+    another on the calling thread, each as wide as ``_chunk_paths`` allows
+    (16384 paths up to 128 uniforms per path, narrower above), so a walk
+    holds at most one 16 MiB uniform block (one tile's, for paths longer
+    than 8192 uniforms) whatever its path count.
     """
     m, n = config.paths, config.horizon
     kind = parse_convolution(config.convolution, config.alpha)
     kdraws = config.unit_step._draws
     total = kdraws + (n - 1) * (kdraws + kind._draws)  # uniforms per path
-    _check_memory(m, n, total)
+    chunk = _chunk_paths(total)
+    _check_memory(m, n, chunk, total)
     states = np.empty((m, n + 1), dtype=float, order="F")
     steps = np.empty((m, n), dtype=float, order="F")
     thetas = np.empty((m, max(n - 1, 0)), dtype=float, order="F")
     switches = np.zeros((m, max(n - 1, 0)), dtype=bool, order="F")
     out = (states, steps, thetas, switches)
-    _run_chunks(m, lambda lo, hi: _simulate_chunk_quantile(
+    _run_chunks(m, chunk, lambda lo, hi: _simulate_chunk_quantile(
         config, kind, kdraws, total, lo, hi, out))
     return WalkEnsemble(config=config, states=states, steps=steps,
                         thetas=thetas, switches=switches)
@@ -386,7 +404,7 @@ def simulate_associated(config: WalkConfig) -> AssociatedWalkEnsemble:
     if config.convolution != "weak_kendall":
         raise ParameterError("the associated walk is defined for weak_kendall configs")
     m, n = config.paths, config.horizon
-    _check_memory(m, n, 2 * n)
+    _check_memory(m, n, _CHUNK, 2 * n)
     steps = np.empty((m, n), dtype=float)
     multipliers = np.empty((m, n), dtype=float)
 
@@ -396,7 +414,7 @@ def simulate_associated(config: WalkConfig) -> AssociatedWalkEnsemble:
         steps[lo:hi] = config.unit_step.sample(rng, cnt).reshape(hi - lo, n)
         multipliers[lo:hi] = sample_mu_alpha(config.alpha, rng, cnt).reshape(hi - lo, n)
 
-    _run_chunks(m, task)
+    _run_chunks(m, _CHUNK, task)
     partial = np.zeros((m, n + 1), dtype=float)
     np.cumsum(steps * multipliers, axis=1, out=partial[:, 1:])
     return AssociatedWalkEnsemble(config=config, steps=steps,

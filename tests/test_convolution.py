@@ -31,7 +31,12 @@ from kendall_walks import (
     phi,
     scale_law,
 )
-from kendall_walks.convolution import _weak_transition
+from kendall_walks.convolution import (
+    _kendall_transition,
+    _kendall_weight,
+    _weak_transition,
+)
+from kendall_walks.measures import _select
 from kendall_walks.verify import KS_COEFF
 
 locs = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
@@ -239,6 +244,80 @@ def test_weak_transition_ties_take_first_sign():
     nxt, mult, q = _weak_transition(0.5, x, dx, np.full(2, 0.3), np.full(2, 0.7), np.full(2, 0.2))
     assert np.all(q)
     assert np.array_equal(nxt / mult, x)
+
+
+def _kendall_where_all(alpha, x, dx, u_q, u_t):
+    # the quantile at every entry, then selected: the reference form
+    v, w = _kendall_weight(alpha, x, dx)
+    q = u_q < w
+    theta = Pareto(2.0 * alpha).ppf(u_t)
+    mult = _select(q, theta, 1.0)
+    return np.where(v > 0, v * mult, 0.0), mult, q
+
+
+def _weak_where_all(alpha, x, dx, u_q, u_t, u_r):
+    ax, adx = np.abs(x), np.abs(dx)
+    v, w = _kendall_weight(alpha, ax, adx)
+    sgn = _select(adx > ax, np.sign(dx), np.sign(x))
+    q = u_q < w
+    theta = SymPareto(2.0 * alpha).ppf(u_t)
+    r = np.copysign(1.0, u_r - 0.5)
+    mult = _select(q, theta, r)
+    return np.where(v > 0, v * sgn * mult, 0.0), mult, q
+
+
+def _same_outputs(got, want):
+    return all(type(g) is type(w) and g.dtype == w.dtype and g.shape == w.shape
+               and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _transition_cases(real_line):
+    """Argument tuples (x, dx, u_q, u_t, u_r) for the transitions."""
+    rng = RngStream(97, 0)
+    n = 4000
+    x = Pareto(1.5).sample(rng, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    dx = Pareto(1.5).sample(rng, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    if not real_line:
+        x, dx = np.abs(x), np.abs(dx)
+    u = rng.random((3, n))
+    # the extreme stream uniforms as tail draws, at u_q = 0 (a switch where w > 0)
+    edge = np.array([0.0, 1.0 - 2.0**-53, 0.0, 1.0 - 2.0**-53])
+    u_edge = np.stack([np.zeros(4), edge, edge])
+    odd = np.array([0.0, -0.0, np.nan, 2.0, -2.0, 1.0, -1.0]) if real_line else \
+        np.array([0.0, -0.0, np.nan, 2.0, 1.0])
+    ox, odx = (a.ravel() for a in np.meshgrid(odd, odd))  # zeros, NaNs and |x| = |dx| ties
+    u_odd = rng.random((3, ox.size))
+    ones = np.ones(n)
+    cases = [(x, dx, *u), (x[:4], dx[:4], *u_edge), (ox, odx, *u_odd),
+             (ones, ones, 0.0 * ones, *u[1:]),  # every switch fires
+             (x, dx, ones, *u[1:]),  # none fires
+             (np.float64(2.0), np.float64(1.5), 0.3, 0.9, 0.2),
+             (np.array(1.0), np.array(1.0), np.float64(0.1), np.float64(0.7), np.float64(0.6)),
+             (x[:40, None], dx[None, :30], *rng.random((3, 40, 30))),
+             (x[:40, None], dx[None, :30], *rng.random((3, 40, 1)))]
+    if real_line:
+        cases.append((-0.0, 0.0, 0.5, 0.5, 0.5))
+    return cases
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+def test_transitions_keep_the_bits_of_the_full_quantile(alpha):
+    # the tail quantile and the weak sign carrier are computed only where
+    # they are selected; dtype, shape, type and bytes of the draw, the
+    # multiplier and the switch are those of the reference forms above
+    for x, dx, u_q, u_t, u_r in _transition_cases(False):
+        assert _same_outputs(_kendall_transition(alpha, x, dx, u_q, u_t),
+                             _kendall_where_all(alpha, x, dx, u_q, u_t))
+    for args in _transition_cases(True):
+        assert _same_outputs(_weak_transition(alpha, *args), _weak_where_all(alpha, *args))
+    # kernel_sample at scalar points: 0-d draws from the kinds' own uniforms
+    for kind, ref, pairs in ((Kendall(alpha), _kendall_where_all, ((2.0, 1.5), (1.0, 1.0))),
+                             (WeakKendall(alpha), _weak_where_all, ((-2.0, 1.5), (1.0, -1.0)))):
+        for a, b in pairs:
+            rng, stream = RngStream(98, 0), RngStream(98, 0)
+            got = kernel_sample(kind, a, b, rng)
+            want = ref(alpha, np.array(a), np.array(b), *stream.random((kind._draws,)))[0]
+            assert _same_outputs((got,), (want,))
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,7 @@ from kendall_walks.verify import KS_COEFF
 from kendall_walks.walks import (
     _ARRAY_PHILOX_MAX_DRAWS,
     _block_sample,
+    _chunk_paths,
     _path_uniform_block,
     _simulate_chunk_quantile,
 )
@@ -524,6 +525,61 @@ def test_memory_guard(monkeypatch):
     monkeypatch.setattr(walks, "worker_count", lambda: 2)
     ens = simulate(WalkConfig("kendall", 1.0, Uniform01(), _REKEYED_HORIZON, 20000, 1))
     assert np.all(np.isfinite(ens.states))
+
+
+def test_memory_guard_prices_the_block_in_flight(monkeypatch):
+    # 797 uniforms per path run in 2560-path chunks: the ensemble (128.3 MB)
+    # and one 16.3 MB block fit under 150 MB, where a 16384-path block
+    # (104.5 MB) would not
+    monkeypatch.setattr(walks, "_MAX_BYTES", 150_000_000)
+    ens = simulate(WalkConfig("weak_kendall", 1.0, symmetrized_atom(1.0), 200, 20000, 1))
+    assert ens.states.shape == (20000, 201)
+
+
+def test_chunk_paths_fit_the_block_budget():
+    # whole 256-path tiles within 16 MiB of uniforms, between one tile and
+    # 16384 paths: cli_csv draws 18 per path, sim_long 497, the envelope
+    # suite's walk 797
+    assert walks._BLOCK_BYTES == 16 << 20
+    got = [_chunk_paths(draws) for draws in (0, 1, 18, 128, 129, 497, 797, 8192, 8193, 100_000)]
+    assert got == [16384, 16384, 16384, 16384, 16128, 4096, 2560, 256, 256, 256]
+
+
+def test_budget_limited_chunks_keep_every_row(monkeypatch):
+    # a weak unit-atom walk of 200 steps draws 1 + 199 * 4 = 797 uniforms a
+    # path: 7000 paths run in chunks [0, 2560), [2560, 5120), [5120, 7000)
+    chunks, block_bytes = [], []
+
+    def recording_chunk(cfg, kind, kdraws, total, lo, hi, out):
+        chunks.append((lo, hi))
+        _simulate_chunk_quantile(cfg, kind, kdraws, total, lo, hi, out)
+
+    def recording_block(*args):
+        block = _path_uniform_block(*args)
+        block_bytes.append(block.nbytes)
+        return block
+
+    monkeypatch.setattr(walks, "_simulate_chunk_quantile", recording_chunk)
+    monkeypatch.setattr(walks, "_path_uniform_block", recording_block)
+    law = symmetrized_atom(1.0)
+    cfg = WalkConfig("weak_kendall", 1.0, law, 200, 7000, 61)
+    ens = simulate(cfg)
+    assert chunks == [(0, 2560), (2560, 5120), (5120, 7000)]
+    assert len(block_bytes) == 3 and max(block_bytes) <= walks._BLOCK_BYTES
+    small = simulate(WalkConfig("weak_kendall", 1.0, law, 200, 3400, 61))
+    for name in ("states", "steps", "thetas", "switches"):
+        assert np.array_equal(getattr(small, name), getattr(ens, name)[:3400])
+    # each path on both sides of both boundaries, replayed alone from its
+    # stream through one-element arrays
+    for m in (2559, 2560, 5119, 5120):
+        rng = RngStream(cfg.seed, m)
+        x = law._from_uniforms(rng.random((1, 1)))
+        states = [0.0, x[0]]
+        for _ in range(1, cfg.horizon):
+            dx = law._from_uniforms(rng.random((1, 1)))
+            x, _, _ = _weak_transition(cfg.alpha, x, dx, *rng.random((3, 1)))
+            states.append(x[0])
+        assert np.array_equal(ens.states[m], states)
 
 
 def test_worker_count_env():
